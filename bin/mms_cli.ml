@@ -669,8 +669,9 @@ let journal_arg doc =
   Arg.(value & opt (some string) None & info [ "journal" ] ~docv:"FILE" ~doc)
 
 let sweep_journal_doc =
-  "Checkpoint journal: every completed grid point is appended (and \
-   fsync'd) to $(docv) as it lands, so a killed run can $(b,--resume)."
+  "Checkpoint journal: completed grid points are committed to $(docv) \
+   with one fsync per pool chunk (one per point at $(b,--jobs) 1), so a \
+   killed run loses at most one chunk and can $(b,--resume)."
 
 let resume_arg =
   Arg.(
@@ -794,19 +795,26 @@ let kill_switch kill_after =
     (fun n k -> if k >= n then Lattol_robust.Chaos.kill_self ())
     kill_after
 
-(* Open (or resume) the journal; [Error] exits 124 before any work. *)
-let open_journal ?on_record ~resume ~meta path =
-  if resume then Exec.Journal.resume ?on_record ~path ~meta ()
-  else Ok (Exec.Journal.create ?on_record ~path ~meta ())
-
-let report_resume journal =
-  match journal with
-  | Some j when Exec.Journal.replayed j > 0 || Exec.Journal.discarded j > 0
-    ->
-    Printf.eprintf "journal: replayed %d records (%d discarded)\n%!"
-      (Exec.Journal.replayed j)
-      (Exec.Journal.discarded j)
-  | _ -> ()
+(* Open (or resume) the journal at [path], report what a resume replayed,
+   run [k] with it and close it.  A journal that cannot be opened is an
+   [`Error] (exit 124) before any work. *)
+let with_journal ~on_record ~resume ~meta path k =
+  match path with
+  | None -> k None
+  | Some path -> (
+    match
+      if resume then Exec.Journal.resume ?on_record ~path ~meta ()
+      else Ok (Exec.Journal.create ?on_record ~path ~meta ())
+    with
+    | Error msg -> `Error (false, msg)
+    | Ok j ->
+      if Exec.Journal.replayed j > 0 || Exec.Journal.discarded j > 0 then
+        Printf.eprintf "journal: replayed %d records (%d discarded)\n%!"
+          (Exec.Journal.replayed j)
+          (Exec.Journal.discarded j);
+      Fun.protect
+        ~finally:(fun () -> Exec.Journal.close j)
+        (fun () -> k (Some j)))
 
 let sweep_cmd =
   let param_conv =
@@ -866,18 +874,10 @@ let sweep_cmd =
           (List.combine froms (List.combine tos stepss))
       in
       let meta = Exec.Sweep.journal_meta ?solver ~base:params axes in
-      match
-        match robust.journal_path with
-        | None -> Ok None
-        | Some path ->
-          Result.map Option.some
-            (open_journal
-               ?on_record:(kill_switch robust.kill_after)
-               ~resume:robust.resume ~meta path)
-      with
-      | Error msg -> `Error (false, msg)
-      | Ok journal ->
-      report_resume journal;
+      with_journal
+        ~on_record:(kill_switch robust.kill_after)
+        ~resume:robust.resume ~meta robust.journal_path
+      @@ fun journal ->
       let serving = serve <> None || serve_socket <> None in
       let telemetry =
         Option.map (fun _ -> Lattol_obs.Solver_trace.create ()) trace_out
@@ -995,7 +995,6 @@ let sweep_cmd =
             flushed file
           | _ -> ());
       ignore (finish_runtime_profile prof);
-      Option.iter Exec.Journal.close journal;
       `Ok ()
     end
   in
@@ -1089,18 +1088,10 @@ let figures_cmd =
         in
         let cache = Exec.Cache.create ?dir () in
         let meta = Exec.Figures.journal_meta ?solver figures in
-        match
-          match robust.journal_path with
-          | None -> Ok None
-          | Some path ->
-            Result.map Option.some
-              (open_journal
-                 ?on_record:(kill_switch robust.kill_after)
-                 ~resume:robust.resume ~meta path)
-        with
-        | Error msg -> `Error (false, msg)
-        | Ok journal ->
-        report_resume journal;
+        with_journal
+          ~on_record:(kill_switch robust.kill_after)
+          ~resume:robust.resume ~meta robust.journal_path
+        @@ fun journal ->
         let serving = serve <> None || serve_socket <> None in
         let progress = Serve.Progress.create ~phase:"figures" () in
         Serve.Progress.set_total progress
@@ -1137,7 +1128,6 @@ let figures_cmd =
               (fun file -> write_metrics_snapshot (snapshot ()) file)
               metrics_out);
         ignore (finish_runtime_profile prof);
-        Option.iter Exec.Journal.close journal;
         `Ok ()
     end
   in
@@ -1158,8 +1148,9 @@ let figures_cmd =
        $ serve_socket_arg
        $ journal_arg
            "Checkpoint journal (default OUT/journal.ltj — always on): \
-            every solved grid point is appended and fsync'd, so a killed \
-            batch can $(b,--resume)."
+            solved grid points are committed with one fsync per pool \
+            chunk (one per point at $(b,--jobs) 1), so a killed batch \
+            loses at most one chunk and can $(b,--resume)."
        $ resume_arg $ retries_arg $ task_deadline_arg $ chaos_fail_rate_arg
        $ chaos_fail_attempts_arg $ chaos_delay_arg $ chaos_seed_arg
        $ chaos_kill_after_arg $ profile_runtime_arg))
@@ -1464,15 +1455,8 @@ let simulate_cmd =
         let meta =
           simulate_meta params engine horizon warmup seed faults replications
         in
-        match
-          match journal_path with
-          | None -> Ok None
-          | Some path ->
-            Result.map Option.some (open_journal ~resume ~meta path)
-        with
-        | Error msg -> `Error (false, msg)
-        | Ok journal ->
-        report_resume journal;
+        with_journal ~on_record:None ~resume ~meta journal_path
+        @@ fun journal ->
         let progress = Serve.Progress.create ~phase:"replications" () in
         Serve.Progress.set_total progress replications;
         let snapshot () = Serve.Progress.to_snapshot progress in
@@ -1489,7 +1473,6 @@ let simulate_cmd =
               replications jobs chunk monitor journal;
             Serve.Progress.finish progress);
         ignore (finish_runtime_profile prof);
-        Option.iter Exec.Journal.close journal;
         `Ok ()
       end
       else begin
@@ -1639,9 +1622,11 @@ let simulate_cmd =
        $ serve_socket_arg
        $ journal_arg
            "Checkpoint journal for the replication fan-out (requires \
-            $(b,--replications) > 1): each replication's measures are \
-            appended as they land, so a killed run can $(b,--resume) \
-            without re-simulating completed replications."
+            $(b,--replications) > 1): replications' measures are \
+            committed with one fsync per pool chunk (one per \
+            replication at $(b,--jobs) 1), so a killed run loses at most \
+            one chunk and can $(b,--resume) without re-simulating \
+            completed replications."
        $ resume_arg $ profile_runtime_arg))
 
 (* ------------------------------------------------------------------ *)

@@ -374,13 +374,31 @@ let quarantine dir k =
   try Sys.rename (path_of_key dir k) (Filename.concat qdir k)
   with Sys_error _ -> ()
 
+(* Entries are read through a raw descriptor: an in_channel mallocs a
+   64 KB buffer that lives until the GC finalizes the channel, and a warm
+   sweep reads hundreds of entries per run.  [None] when unreadable. *)
+let read_entry path =
+  match Unix.openfile path [ Unix.O_RDONLY ] 0 with
+  | exception Unix.Unix_error _ -> None
+  | fd ->
+    let rec fill b off =
+      match Unix.read fd b off (Bytes.length b - off) with
+      | 0 -> Some (Bytes.sub_string b 0 off)
+      | k -> fill b (off + k)
+    in
+    let text =
+      try fill (Bytes.create (Unix.fstat fd).Unix.st_size) 0
+      with Unix.Unix_error _ -> None
+    in
+    (try Unix.close fd with Unix.Unix_error _ -> ());
+    text
+
 let disk_find t k =
   match t.dir with
   | None -> None
   | Some dir -> (
-    let path = path_of_key dir k in
-    match In_channel.with_open_bin path In_channel.input_all with
-    | text -> (
+    match read_entry (path_of_key dir k) with
+    | Some text -> (
       match decode_entry text with
       | Value m -> Some m
       | Stale -> None
@@ -388,7 +406,7 @@ let disk_find t k =
         quarantine dir k;
         note_corrupt t;
         None)
-    | exception Sys_error _ -> None)
+    | None -> None)
 
 let disk_store t k m =
   match t.dir with
@@ -536,12 +554,8 @@ let scrub t =
                 if Filename.check_suffix name ".tmp" then acc
                 else begin
                   let acc = { acc with scanned = acc.scanned + 1 } in
-                  match
-                    In_channel.with_open_bin
-                      (Filename.concat subdir name)
-                      In_channel.input_all
-                  with
-                  | text -> (
+                  match read_entry (Filename.concat subdir name) with
+                  | Some text -> (
                     match decode_entry text with
                     | Value _ -> { acc with intact = acc.intact + 1 }
                     | Stale ->
@@ -555,7 +569,7 @@ let scrub t =
                       quarantine dir name;
                       note_corrupt t;
                       { acc with quarantined = acc.quarantined + 1 })
-                  | exception Sys_error _ -> acc
+                  | None -> acc
                 end)
               acc names
           end

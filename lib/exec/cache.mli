@@ -109,3 +109,7 @@ val encode_measures_line : Measures.t -> string
     through {!decode_measures_line}. *)
 
 val decode_measures_line : string -> Measures.t option
+
+val mkdir_p : string -> unit
+(** Create a directory and any missing parents; an existing directory
+    (or a concurrent creator winning the race) is not an error. *)

@@ -82,15 +82,6 @@ let csv_of_rows figure rows =
     rows;
   (Buffer.contents b, !data_rows)
 
-let mkdir_p dir =
-  let rec go d =
-    if not (Sys.file_exists d) then begin
-      go (Filename.dirname d);
-      try Sys.mkdir d 0o755 with Sys_error _ -> ()
-    end
-  in
-  go dir
-
 type written = { figure : figure; path : string; rows : int }
 
 let journal_meta ?solver figures =
@@ -105,7 +96,7 @@ let journal_meta ?solver figures =
 
 let write ?solver ?cache ?jobs ?chunk ?oversubscribe ?causal ?monitor ?journal
     ?retry ?deadline ?chaos ~dir figures =
-  mkdir_p dir;
+  Cache.mkdir_p dir;
   let cache = match cache with Some c -> c | None -> Cache.create () in
   List.map
     (fun figure ->

@@ -9,10 +9,10 @@
      <md5-hex> <id> <payload>
 
    where the digest covers "<id> <payload>".  Appends are serialized
-   under a mutex and fsync'd record-by-record, so after a SIGKILL the
-   file is a valid journal plus at most one torn trailing record —
-   {!resume} verifies every line, truncates the bad tail, and replays
-   the survivors.  [meta] is the caller's digest of everything that
+   under a mutex and written in batches, one fsync each, so after a
+   SIGKILL the file is a valid journal plus at most one torn trailing
+   record — {!resume} verifies every line, truncates the bad tail, and
+   replays the survivors.  [meta] is the caller's digest of everything that
    shapes the results (parameters, axes, solver, format versions): a
    mismatch on resume is an error, never a silent wrong answer. *)
 
@@ -40,15 +40,6 @@ let discarded t = t.discarded
 let appended t = t.appended
 
 let find t id = Hashtbl.find_opt t.index id
-
-let mkdir_p dir =
-  let rec go d =
-    if not (Sys.file_exists d) then begin
-      go (Filename.dirname d);
-      try Sys.mkdir d 0o755 with Sys_error _ -> ()
-    end
-  in
-  go dir
 
 let header meta = Printf.sprintf "lattol-journal %d %s\n" format_version meta
 
@@ -113,7 +104,7 @@ let make ~path ~fd ~entries ~discarded on_record =
 
 let create ?(on_record = fun _ -> ()) ~path ~meta () =
   check_meta meta;
-  mkdir_p (Filename.dirname path);
+  Cache.mkdir_p (Filename.dirname path);
   let fd =
     Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
   in
@@ -178,21 +169,6 @@ let resume ?(on_record = fun _ -> ()) ~path ~meta () =
     end
   end
 
-let append t ~id ~payload =
-  check_id id;
-  single_line "payload" payload;
-  let line = record_line ~id ~payload in
-  let nth =
-    Mutex.protect t.lock (fun () ->
-        write_all t.fd line;
-        Unix.fsync t.fd;
-        Hashtbl.replace t.index id payload;
-        t.appended <- t.appended + 1;
-        t.appended)
-  in
-  (* Outside the lock: the hook may be a chaos kill switch. *)
-  t.on_record nth
-
 let append_batch t records =
   match records with
   | [] -> ()
@@ -223,4 +199,77 @@ let append_batch t records =
     let first = last - List.length records + 1 in
     List.iteri (fun i _ -> t.on_record (first + i)) records
 
+let append t ~id ~payload = append_batch t [ (id, payload) ]
+
 let close t = try Unix.close t.fd with Unix.Unix_error (_, _, _) -> ()
+
+(* Replay is id-keyed, so the order batches land in never affects a
+   resumed run.  A point span opens at submission, so its wall includes
+   queue wait; the batch commit runs between units, under no one point,
+   so its span hangs off the run.  The [finally] closes whatever an
+   exception left open (finish is idempotent). *)
+module Tc = Lattol_obs.Trace_ctx
+
+let map journal ~causal ~jobs ~chunk ~oversubscribe ~monitor ~retry ~deadline
+    ~on_poison ~id ~point ~encode ~decode f n =
+  let results =
+    Array.init n (fun i ->
+        Option.bind journal (fun j -> Option.bind (find j (id i)) (decode i)))
+  in
+  let missing =
+    Array.of_list
+      (List.filter (fun i -> Option.is_none results.(i)) (List.init n Fun.id))
+  in
+  let handles = Array.make n Tc.no_handle in
+  if Tc.enabled causal then
+    Array.iter
+      (fun i ->
+        let point, name = point i in
+        handles.(i) <- Tc.start ~point ~cat:"point" ~name causal)
+      missing;
+  let trace =
+    if Tc.enabled causal then
+      Some (fun slot -> Tc.ctx_of handles.(missing.(slot)))
+    else None
+  in
+  let finished pending i y =
+    if Option.is_some journal then pending := (id i, encode y) :: !pending;
+    Tc.finish handles.(i);
+    y
+  in
+  let flush pending =
+    match journal with
+    | Some j when !pending <> [] ->
+      let t0 = if Tc.enabled causal then Tc.now_ns () else 0L in
+      append_batch j (List.rev !pending);
+      if Tc.enabled causal then
+        Tc.record_interval ~cat:"journal" ~name:"append-batch"
+          ~meta:[ ("records", string_of_int (List.length !pending)) ]
+          ~t0_ns:t0 causal;
+      pending := []
+    | _ -> ()
+  in
+  (* The pool reports a poisoned item by its slot in [missing]; the
+     caller's substitute and its record belong to the unit. *)
+  let on_poison =
+    Option.map
+      (fun g pending (p : Pool.poisoned) ->
+        let i = missing.(p.Pool.index) in
+        finished pending i (g { p with Pool.index = i }))
+      on_poison
+  in
+  let computed, _ =
+    Fun.protect
+      ~finally:(fun () -> Array.iter Tc.finish handles)
+      (fun () ->
+        Pool.map_local ?chunk ?oversubscribe ?monitor ?retry ?deadline
+          ?on_poison ?trace ~jobs
+          ~local:(fun _ -> ref [])
+          ~flush
+          (fun pending ctx i -> finished pending i (f ctx i))
+          missing)
+  in
+  Array.iteri (fun slot i -> results.(i) <- Some computed.(slot)) missing;
+  Array.map
+    (function Some y -> y | None -> invalid_arg "Journal.map: missing unit")
+    results

@@ -144,23 +144,25 @@ let map_local ?chunk ?oversubscribe ?monitor ?retry ?deadline ?on_poison
   let trace_ctx i =
     match trace with Some lookup -> lookup i | None -> Tc.disabled
   in
-  let run l i x =
+  let run l poison i x =
     let tctx = trace_ctx i in
     if Tc.enabled tctx then
-      (* From the submitting context's span open (the sweep opens point
-         spans before handing the batch to the pool) to this first
+      (* From the submitting context's span open (Journal.map opens
+         point spans before handing the batch to the pool) to this first
          execution: the time the item sat unclaimed in the queue. *)
       Tc.record_since ~cat:"queue" ~name:"queue-wait" tctx;
-    run_one ?retry ?deadline ?on_poison ~failure ~trace:tctx (f l) i x
+    run_one ?retry ?deadline ?on_poison:poison ~failure ~trace:tctx (f l) i x
   in
-  let run_traced w m l i x =
+  (* A worker's poison handler, bound to its local once, not per task. *)
+  let poison_of l = Option.map (fun g -> g l) on_poison in
+  let run_traced w m l poison i x =
     (match m with Some m -> m.on_task ~worker:w ~busy:true | None -> ());
     Rp.task_begin ();
     let fin () =
       Rp.task_end ();
       match m with Some m -> m.on_task ~worker:w ~busy:false | None -> ()
     in
-    match run l i x with
+    match run l poison i x with
     | y ->
       fin ();
       y
@@ -172,26 +174,30 @@ let map_local ?chunk ?oversubscribe ?monitor ?retry ?deadline ?on_poison
     Rp.worker_begin ();
     Fun.protect ~finally:Rp.worker_end (fun () ->
         let l = local 0 in
+        let poison = poison_of l in
+        (match monitor with
+        | Some m ->
+          m.on_start ~jobs:1 ~items:n;
+          m.on_worker ~worker:0 ~busy:true
+        | None -> ());
+        (* Serial: every item is its own chunk, so worker-side batching
+           (a checkpoint append) lands item by item. *)
         let results =
-          match monitor with
-          | None -> Array.mapi (fun i x -> run_traced 0 None l i x) items
-          | Some m ->
-            m.on_start ~jobs:1 ~items:n;
-            m.on_worker ~worker:0 ~busy:true;
-            let results =
-              Array.mapi
-                (fun i x ->
-                  m.on_claim ~remaining:(n - i - 1);
-                  Rp.queue_depth (n - i - 1);
-                  let y = run_traced 0 monitor l i x in
-                  m.on_item ();
-                  y)
-                items
-            in
-            m.on_worker ~worker:0 ~busy:false;
-            results
+          Array.mapi
+            (fun i x ->
+              (match monitor with
+              | Some m -> m.on_claim ~remaining:(n - i - 1)
+              | None -> ());
+              Rp.queue_depth (n - i - 1);
+              let y = run_traced 0 monitor l poison i x in
+              flush l;
+              (match monitor with Some m -> m.on_item () | None -> ());
+              y)
+            items
         in
-        flush l;
+        (match monitor with
+        | Some m -> m.on_worker ~worker:0 ~busy:false
+        | None -> ());
         (results, [ l ]))
   end
   else begin
@@ -207,6 +213,7 @@ let map_local ?chunk ?oversubscribe ?monitor ?retry ?deadline ?on_poison
       (* The local is created in the worker's own domain, so its state
          lives in that domain's minor heap. *)
       let l = local w in
+      let poison = poison_of l in
       locals.(w) <- Some l;
       (match monitor with
       | Some m -> m.on_worker ~worker:w ~busy:true
@@ -236,7 +243,7 @@ let map_local ?chunk ?oversubscribe ?monitor ?retry ?deadline ?on_poison
           Rp.queue_depth remaining;
           (try
              for i = lo to hi - 1 do
-               results.(i) <- Some (run_traced w monitor l i items.(i));
+               results.(i) <- Some (run_traced w monitor l poison i items.(i));
                match monitor with Some m -> m.on_item () | None -> ()
              done;
              (* One flush per claimed chunk: worker-side batching (e.g. a
@@ -276,11 +283,12 @@ let map_local ?chunk ?oversubscribe ?monitor ?retry ?deadline ?on_poison
     (results, locals)
   end
 
-let map_ctx ?chunk ?oversubscribe ?monitor ?retry ?deadline ?on_poison ?trace
-    ~jobs f items =
+let map_ctx ?chunk ?oversubscribe ?monitor ?retry ?deadline ?on_poison ~jobs f
+    items =
   fst
-    (map_local ?chunk ?oversubscribe ?monitor ?retry ?deadline ?on_poison
-       ?trace ~jobs
+    (map_local ?chunk ?oversubscribe ?monitor ?retry ?deadline
+       ?on_poison:(Option.map (fun g () -> g) on_poison)
+       ~jobs
        ~local:(fun _ -> ())
        (fun () ctx x -> f ctx x)
        items)

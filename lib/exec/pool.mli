@@ -101,34 +101,37 @@ val map :
 val map_ctx :
   ?chunk:int -> ?oversubscribe:bool -> ?monitor:monitor ->
   ?retry:Lattol_robust.Retry.policy -> ?deadline:float ->
-  ?on_poison:(poisoned -> 'b) -> ?trace:(int -> Lattol_obs.Trace_ctx.ctx) ->
-  jobs:int -> (ctx -> 'a -> 'b) -> 'a array -> 'b array
+  ?on_poison:(poisoned -> 'b) -> jobs:int -> (ctx -> 'a -> 'b) -> 'a array ->
+  'b array
 (** {!map} with the task's {!ctx} exposed, for tasks that poll
-    [should_stop], vary behavior by [attempt], or record trace spans.
-
-    [trace item_index] supplies the submitting causal context for each
-    item (typically the item's open point span).  A traced map records,
-    per item, a ["queue-wait"] span — submission to first execution —
-    and, per claimed chunk, a ["chunk-claim"] span hung off the first
-    claimed item.  Without [trace] the pool reads no clock at all, so
-    the untraced path stays byte-identical {e and} cost-identical. *)
+    [should_stop] or vary behavior by [attempt]. *)
 
 val map_local :
   ?chunk:int -> ?oversubscribe:bool -> ?monitor:monitor ->
   ?retry:Lattol_robust.Retry.policy -> ?deadline:float ->
-  ?on_poison:(poisoned -> 'b) -> ?trace:(int -> Lattol_obs.Trace_ctx.ctx) ->
+  ?on_poison:('l -> poisoned -> 'b) ->
+  ?trace:(int -> Lattol_obs.Trace_ctx.ctx) ->
   jobs:int -> local:(int -> 'l) ->
   ?flush:('l -> unit) -> ('l -> ctx -> 'a -> 'b) -> 'a array ->
   'b array * 'l list
 (** {!map_ctx} with per-worker scratch state.  Each worker calls
     [local w] exactly once, in its own domain, before claiming any work
     (so the state lives in that domain's minor heap); every task on that
-    worker receives the same ['l].  [flush] runs at the end of every
-    successfully completed claimed chunk (and once after the serial
-    path) — the batching point for worker-side side effects such as
-    checkpoint appends; a raising [flush] is a pool failure.  Returns
-    the locals in worker order (index 0 = the calling domain), so the
-    caller can merge per-worker accumulators deterministically.
+    worker receives the same ['l], and so does [on_poison] for a task
+    poisoned there.  [flush] runs at the end of every successfully
+    completed claimed chunk, and after every item on the serial path
+    (where each item is its own chunk) — the batching point for
+    worker-side side effects such as checkpoint appends; a raising
+    [flush] is a pool failure.  Returns the locals in worker order
+    (index 0 = the calling domain), so the caller can merge per-worker
+    accumulators deterministically.
+
+    [trace item_index] supplies the submitting causal context for each
+    item (typically the item's open point span).  A traced map records,
+    per item, a ["queue-wait"] span — submission to first execution —
+    and, per claimed chunk, a ["chunk-claim"] span hung off the first
+    claimed item.  Without [trace] the pool reads no clock at all, so
+    the untraced path stays byte-identical {e and} cost-identical.
 
     Determinism caveat: results must not depend on ['l] contents that
     vary with scheduling — locals are for scratch buffers, batching and

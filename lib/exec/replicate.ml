@@ -28,89 +28,25 @@ let summarize results ~u_p ~lambda =
    ["rep<i>"], payload {!Cache.encode_measures_line}.  Inputs (streams or
    seeds) are always derived for the FULL replication set before the
    journal filters out completed indices — a resumed run must hand
-   replication [i] exactly the stream it would have had uninterrupted.
-
-   Checkpoints are batched per pool chunk: each worker collects its
-   chunk's (id, payload) records in a per-domain pending list and the
-   chunk-boundary [flush] writes them with {!Journal.append_batch} — one
-   lock acquisition and one fsync per chunk instead of one per
-   replication.  Replay is id-keyed, so batch order never affects a
-   resumed run; a crash loses at most the current unflushed chunk, which
-   is simply recomputed. *)
+   replication [i] exactly the stream it would have had uninterrupted. *)
 module Tc = Lattol_obs.Trace_ctx
 
-let journaled_map ?journal ?monitor ?chunk ?oversubscribe
-    ?(causal = Tc.disabled) ~jobs run inputs =
+let journaled_measures ~journal ~monitor ~chunk ~oversubscribe ~causal ~jobs
+    run inputs =
   let arr = Array.of_list inputs in
-  let n = Array.length arr in
   let rep_id i = Printf.sprintf "rep%d" i in
-  let rows = Array.make n None in
-  (match journal with
-  | None -> ()
-  | Some j ->
-    for i = 0 to n - 1 do
-      match Journal.find j (rep_id i) with
-      | Some payload -> rows.(i) <- Cache.decode_measures_line payload
-      | None -> ()
-    done);
-  let missing =
-    Array.of_list
-      (List.filter (fun i -> rows.(i) = None) (List.init n (fun i -> i)))
-  in
-  (* Causal point spans, mirroring Sweep.run: one per still-missing
-     replication, opened at submission (wall time includes queue wait),
-     closed by the task; the [finally] sweeps up error-path leftovers.
-     The batched journal flush runs at chunk boundaries outside any one
-     replication's context, so it records under the run-level context
-     instead. *)
-  let handles = Array.make n Tc.no_handle in
-  if Tc.enabled causal then
-    Array.iter
-      (fun i ->
-        handles.(i) <-
-          Tc.start ~point:(rep_id i) ~cat:"point" ~name:(rep_id i) causal)
-      missing;
-  let pool_trace =
-    if Tc.enabled causal then
-      Some (fun slot -> Tc.ctx_of handles.(missing.(slot)))
-    else None
-  in
-  let computed, _locals =
-    Fun.protect
-      ~finally:(fun () -> Array.iter (fun h -> Tc.finish h) handles)
-      (fun () ->
-        Pool.map_local ?monitor ?chunk ?oversubscribe ?trace:pool_trace ~jobs
-          ~local:(fun _ -> ref [])
-          ~flush:(fun pending ->
-            match journal with
-            | Some j when !pending <> [] ->
-              let t0 = if Tc.enabled causal then Tc.now_ns () else 0L in
-              Journal.append_batch j (List.rev !pending);
-              if Tc.enabled causal then
-                Tc.record_interval ~cat:"journal" ~name:"append-batch"
-                  ~meta:
-                    [ ("records", string_of_int (List.length !pending)) ]
-                  ~t0_ns:t0 causal;
-              pending := []
-            | _ -> ())
-          (fun pending ctx i ->
-            let m =
-              Tc.with_span ~cat:"solve" ~name:"simulate" ctx.Pool.trace
-                (fun _ -> run arr.(i))
-            in
-            (match journal with
-            | None -> ()
-            | Some _ ->
-              pending := (rep_id i, Cache.encode_measures_line m) :: !pending);
-            Tc.finish handles.(i);
-            m)
-          missing)
-  in
-  Array.iteri (fun slot i -> rows.(i) <- Some computed.(slot)) missing;
-  List.init n (fun i ->
-      match rows.(i) with
-      | Some m -> m
-      | None -> invalid_arg "Replicate: missing replication")
+  Array.to_list
+    (Journal.map journal
+       ~causal:(Option.value causal ~default:Tc.disabled)
+       ~jobs ~chunk ~oversubscribe ~monitor
+       ~retry:None ~deadline:None ~on_poison:None ~id:rep_id
+       ~point:(fun i -> (rep_id i, rep_id i))
+       ~encode:Cache.encode_measures_line
+       ~decode:(fun _ payload -> Cache.decode_measures_line payload)
+       (fun ctx i ->
+         Tc.with_span ~cat:"solve" ~name:"simulate" ctx.Pool.trace (fun _ ->
+             run arr.(i)))
+       (Array.length arr))
 
 let summarize_measures results =
   summarize results
@@ -124,7 +60,7 @@ let des_measures ?(jobs = 1) ?chunk ?oversubscribe ?monitor ?journal ?causal
   if config.Des.trace <> None || config.Des.metrics <> None then
     invalid_arg "Replicate.des_measures: trace/metrics sinks are per-run";
   summarize_measures
-    (journaled_map ?journal ?monitor ?chunk ?oversubscribe ?causal ~jobs
+    (journaled_measures ~journal ~monitor ~chunk ~oversubscribe ~causal ~jobs
        (fun rng ->
          (Des.run ~config:{ config with Des.rng = Some rng } p).Des.measures)
        (streams ~seed:config.Des.seed replications))
@@ -138,7 +74,7 @@ let stpn_measures ?(jobs = 1) ?chunk ?oversubscribe ?monitor ?journal ?causal
   if replications < 1 then
     invalid_arg "Replicate.stpn_measures: replications must be at least 1";
   summarize_measures
-    (journaled_map ?journal ?monitor ?chunk ?oversubscribe ?causal ~jobs
+    (journaled_measures ~journal ~monitor ~chunk ~oversubscribe ~causal ~jobs
        (fun s ->
          (Stpn.run ~seed:s ?warmup ?horizon ?memory ?faults p).Stpn.measures)
        (stpn_seeds ~seed replications))

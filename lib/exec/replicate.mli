@@ -64,12 +64,13 @@ val des_measures :
   Lattol_core.Measures.t summary
 (** {!des} reduced to each replication's {!Measures.t} — the level the CLI
     reports at — and therefore checkpointable: with [journal], replication
-    [i] is recorded under id ["rep<i>"] as it completes, and a resumed run
+    [i] is recorded under id ["rep<i>"] with its pool chunk, and a resumed run
     replays completed replications instead of re-simulating them.  Streams
     for the full set are derived before the journal filter, so resumed and
-    uninterrupted runs are byte-identical.  Checkpoints are written in
-    per-chunk batches ({!Journal.append_batch}): one fsync per pool chunk,
-    so [chunk] trades checkpoint granularity against disk-barrier cost.
+    uninterrupted runs are byte-identical.  Checkpoints go through
+    {!Journal.map}: one fsync per pool chunk (one per replication at
+    [jobs = 1]), so a crash loses at most one chunk and [chunk] trades
+    checkpoint granularity against disk-barrier cost.
     [trace]/[metrics] sinks are rejected at any replication count (a
     replayed run cannot reproduce them).
 

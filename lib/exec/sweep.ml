@@ -278,36 +278,6 @@ let run ?solver ?cache ?(jobs = 1) ?chunk ?oversubscribe
   in
   let pts = Array.of_list (points axes) in
   let n = Array.length pts in
-  (* Ids carry the point's index (axes can repeat a value) and its label
-     (readability when inspecting a journal). *)
-  let point_id i = Printf.sprintf "%s%d:%s" journal_prefix i (label pts.(i)) in
-  let rows = Array.make n None in
-  (match journal with
-  | None -> ()
-  | Some j ->
-    for i = 0 to n - 1 do
-      match Journal.find j (point_id i) with
-      | Some payload -> rows.(i) <- decode_row ~ideal_method pts.(i) payload
-      | None -> ()
-    done);
-  let missing =
-    Array.of_list
-      (List.filter
-         (fun i -> rows.(i) = None)
-         (List.init n (fun i -> i)))
-  in
-  let record ?(tctx = Tc.disabled) i row =
-    (match journal with
-    | None -> ()
-    | Some j ->
-      if Tc.enabled tctx then begin
-        let t0 = Tc.now_ns () in
-        Journal.append j ~id:(point_id i) ~payload:(encode_row row);
-        Tc.record_interval ~cat:"journal" ~name:"append" ~t0_ns:t0 tctx
-      end
-      else Journal.append j ~id:(point_id i) ~payload:(encode_row row));
-    row
-  in
   (* Poison substitution only arms alongside retry/deadline containment:
      without them, failures propagate first-exception as they always
      did.  A poisoned point becomes (and is journaled as) an error row. *)
@@ -316,14 +286,13 @@ let run ?solver ?cache ?(jobs = 1) ?chunk ?oversubscribe
     else
       Some
         (fun (p : Pool.poisoned) ->
-          record p.Pool.index
-            {
-              assigns = pts.(p.Pool.index);
-              result =
-                Error
-                  (Printf.sprintf "gave up after %d attempts: %s"
-                     p.Pool.attempts p.Pool.error);
-            })
+          {
+            assigns = pts.(p.Pool.index);
+            result =
+              Error
+                (Printf.sprintf "gave up after %d attempts: %s"
+                   p.Pool.attempts p.Pool.error);
+          })
   in
   (* Per-point private trace buffers, absorbed into the caller's recorder
      in point order below.  Cache hits and journal-restored points record
@@ -338,44 +307,21 @@ let run ?solver ?cache ?(jobs = 1) ?chunk ?oversubscribe
             ~sample_capacity:(Lattol_obs.Solver_trace.sample_capacity tel)
             ())
   in
-  (* Causal point spans: one handle per still-missing point, opened at
-     submission time — so a point's wall time includes its queue wait —
-     and closed by the task itself right after the journal append.  The
-     [finally] closes whatever an exception or poison path left open
-     (finish is idempotent), so every recorded span's parent exists even
-     on error paths.  Journal-restored points record nothing. *)
-  let handles = Array.make n Tc.no_handle in
-  if Tc.enabled causal then
-    Array.iter
-      (fun i ->
-        handles.(i) <-
-          Tc.start
-            ~point:(Printf.sprintf "%s%d" journal_prefix i)
-            ~cat:"point" ~name:(label pts.(i)) causal)
-      missing;
-  let pool_trace =
-    if Tc.enabled causal then
-      Some (fun slot -> Tc.ctx_of handles.(missing.(slot)))
-    else None
+  let rows =
+    Journal.map journal ~causal ~jobs ~chunk ~oversubscribe ~monitor ~retry
+      ~deadline ~on_poison
+      (* Ids carry the point's index (axes can repeat a value) and its
+         label (readability when inspecting a journal). *)
+      ~id:(fun i -> Printf.sprintf "%s%d:%s" journal_prefix i (label pts.(i)))
+      ~point:(fun i -> (Printf.sprintf "%s%d" journal_prefix i, label pts.(i)))
+      ~encode:encode_row
+      ~decode:(fun i payload -> decode_row ~ideal_method pts.(i) payload)
+      (fun ctx i ->
+        let tel = if trace = None then None else Some traces.(i) in
+        eval ~tel ctx pts.(i))
+      n
   in
-  let computed =
-    Fun.protect
-      ~finally:(fun () -> Array.iter (fun h -> Tc.finish h) handles)
-      (fun () ->
-        Pool.map_ctx ?chunk ?oversubscribe ?monitor ?retry ?deadline
-          ?on_poison ?trace:pool_trace ~jobs
-          (fun ctx i ->
-            let tel = if trace = None then None else Some traces.(i) in
-            let row = record ~tctx:ctx.Pool.trace i (eval ~tel ctx pts.(i)) in
-            Tc.finish handles.(i);
-            row)
-          missing)
-  in
-  Array.iteri (fun slot i -> rows.(i) <- Some computed.(slot)) missing;
   (match trace with
   | None -> ()
   | Some tel -> Lattol_obs.Solver_trace.absorb tel (Array.to_list traces));
-  List.init n (fun i ->
-      match rows.(i) with
-      | Some row -> row
-      | None -> invalid_arg "Sweep.run: missing row")
+  Array.to_list rows

@@ -118,8 +118,9 @@ val run :
     still-missing point opens a ["point"] span at submission — so its
     wall time includes queue wait — under which the pool records
     queue/claim spans, every solve (real and both ideals) records a
-    ["solve"] span with residual-decade phase children, the cache records
-    its wait spans, and the journal append its ["journal"] span.  The
+    ["solve"] span with residual-decade phase children, and the cache
+    records its wait spans; each batched journal commit records a
+    run-level ["journal"] span (see {!Journal.map}).  The
     default, {!Lattol_obs.Trace_ctx.disabled}, records nothing and reads
     no clock; either way the returned rows and every byte of downstream
     output are identical.
@@ -129,14 +130,17 @@ val run :
     observes pool scheduling (one {!Pool.monitor} item per grid point)
     without affecting results.
 
-    [journal] checkpoints every completed row (append + fsync before the
-    row is reported) and skips points already present when the journal was
-    resumed, so a killed sweep re-run with the same journal produces
-    byte-identical rows while re-solving only the missing points.
+    [journal] checkpoints every completed row through {!Journal.map}:
+    one fsync per pool chunk, one per point at [jobs = 1], so a crash
+    loses at most one chunk.  Points already present when the journal
+    was resumed are skipped, so a killed sweep re-run with the same
+    journal produces byte-identical rows while re-solving only the
+    missing points.
     [journal_prefix] namespaces the record ids (multi-figure journals).
     [retry]/[deadline] arm per-task fault containment (see {!Pool.map_ctx});
     when either is set, a task that exhausts its attempts becomes an
-    [Error "gave up after N attempts: ..."] row instead of sinking the run.
+    [Error "gave up after N attempts: ..."] row, journaled under its own
+    point, instead of sinking the run.
     [chaos] injects deterministic faults for the chaos harness (default
     {!Lattol_robust.Chaos.none}).  Raises [Invalid_argument] on
     [jobs < 1], an empty axis list, or an empty axis. *)

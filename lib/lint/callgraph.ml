@@ -78,7 +78,8 @@ let path_of aliases e =
 
 let spawn_point = function
   | [ "Domain"; "spawn" ] -> true
-  | [ "Pool"; ("map" | "map_ctx" | "map_local" | "map_list" | "run") ] -> true
+  | [ "Pool"; ("map" | "map_ctx" | "map_local" | "map_list" | "run") ]
+  | [ "Journal"; "map" ] -> true
   | _ -> false
 
 (* (path, role list): which positional argument (0-based, Nolabel only)

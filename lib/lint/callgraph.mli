@@ -9,8 +9,9 @@
     the node ["Mms_des.run"].  Resolution is an over-approximation: a
     path that names nothing simply produces no edge.
 
-    Closures handed to a spawn point — [Domain.spawn] or the
-    [Pool.map]/[map_ctx]/[map_local]/[map_list]/[run] family — are
+    Closures handed to a spawn point — [Domain.spawn], the
+    [Pool.map]/[map_ctx]/[map_local]/[map_list]/[run] family, or
+    [Journal.map], the checkpointed fan-out over [Pool.map_local] — are
     collected as synthetic {e parallel-root} nodes ([par_root = true])
     hanging off the enclosing function; phase 2 starts its reachability
     sweep there.  Function bodies also record the domain-safety and

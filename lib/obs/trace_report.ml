@@ -36,6 +36,8 @@ type t = {
   r_solve_ms : float;
   r_journal_ms : float;
   r_other_ms : float;
+  r_run_journal_ms : float;
+  r_run_journal_spans : int;
   r_span_count : int;
   r_dropped : int;
 }
@@ -181,6 +183,9 @@ let analyze r =
       if s.id = 1 then root_dur := s.dur_ns;
       if s.point <> "" then add_child by_point s.point s)
     spans;
+  let run_journal =
+    List.filter (fun (s : Tc.span) -> s.point = "" && s.cat = "journal") spans
+  in
   let points =
     Hashtbl.fold (fun p ss acc -> (p, ss) :: acc) by_point []
     |> List.sort (fun (a, _) (b, _) -> natural_compare a b)
@@ -203,6 +208,10 @@ let analyze r =
     r_solve_ms = solve;
     r_journal_ms = journal;
     r_other_ms = sum (fun p -> p.other_ms);
+    r_run_journal_ms =
+      ms (List.fold_left (fun a (s : Tc.span) -> Int64.add a s.dur_ns) 0L
+            run_journal);
+    r_run_journal_spans = List.length run_journal;
     r_span_count = Tc.count r;
     r_dropped = Tc.dropped r;
   }
@@ -241,6 +250,9 @@ let pp_table b t =
        w_point "TOTAL" w_label "" wall t.r_queue_ms t.r_cache_ms t.r_solve_ms
        t.r_journal_ms t.r_other_ms t.r_verdict);
   Buffer.add_string b
+    (Printf.sprintf "run-level journal: %.3f ms in %d spans\n"
+       t.r_run_journal_ms t.r_run_journal_spans);
+  Buffer.add_string b
     (Printf.sprintf
        "trace %s: %d points, %d spans, run wall %.3f ms, verdict %s\n"
        t.r_trace_id
@@ -275,13 +287,16 @@ let to_json b t =
   let str k v = Printf.sprintf "\"%s\":\"%s\"" k (Jsonu.escape v) in
   let num k v = Printf.sprintf "\"%s\":%s" k (Jsonu.number v) in
   Buffer.add_string b
-    (Printf.sprintf "{\"schema\":\"lattol-trace/1\",%s,%s,%s,%s,%s"
+    (Printf.sprintf "{\"schema\":\"lattol-trace/1\",%s,%s,%s,%s,%s,%s"
        (str "root" t.r_root)
        (str "trace_id" t.r_trace_id)
        (num "wall_ms" t.r_wall_ms)
        (Printf.sprintf "\"span_count\":%d,\"dropped\":%d" t.r_span_count
           t.r_dropped)
-       (str "verdict" t.r_verdict));
+       (str "verdict" t.r_verdict)
+       (Printf.sprintf "%s,\"run_journal_spans\":%d"
+          (num "run_journal_ms" t.r_run_journal_ms)
+          t.r_run_journal_spans));
   Buffer.add_string b
     (Printf.sprintf ",\"totals\":{%s,%s,%s,%s,%s}"
        (num "queue_ms" t.r_queue_ms)

@@ -38,6 +38,11 @@ type t = {
   r_solve_ms : float;
   r_journal_ms : float;
   r_other_ms : float;
+  r_run_journal_ms : float;
+      (** journal spans under no point — batched checkpoint commits,
+          each serving a whole pool chunk; outside every point's wall,
+          so outside the TOTAL row too *)
+  r_run_journal_spans : int;
   r_span_count : int;
   r_dropped : int;
 }
@@ -56,14 +61,16 @@ val slowest : int -> t -> point_report list
 
 val pp_table : Buffer.t -> t -> unit
 (** The human waterfall: one row per point (wall and per-category ms,
-    verdict), a TOTAL row, and the aggregate verdict line. *)
+    verdict), a TOTAL row, the run-level journal line, and the
+    aggregate verdict line. *)
 
 val pp_digest : Buffer.t -> k:int -> t -> unit
 (** Exemplar digest for the [k] slowest points: wall, verdict, critical
     path, and the point's exemplar trace id. *)
 
 val to_json : Buffer.t -> t -> unit
-(** Machine form: [{"schema":"lattol-trace/1", ...}] with totals, per
+(** Machine form: [{"schema":"lattol-trace/1", ...}] with totals, the
+    run-level journal time ([run_journal_ms], [run_journal_spans]), per
     point categories, verdicts and critical paths. *)
 
 val to_events : Trace_ctx.recorder -> Events.t

@@ -291,10 +291,10 @@ let test_pool_map_local_per_worker_state () =
     [ 1; 2; 4; 8 ]
 
 let test_pool_flush_batches () =
-  (* Serial path: one flush, after everything.  Parallel path with a
-     forced chunk: flush fires once per claimed chunk, each batch is a
-     contiguous run of at most [chunk] items, and the batches partition
-     the input. *)
+  (* Serial path: every item is its own chunk, one flush each.
+     Parallel path with a forced chunk: flush fires once per claimed
+     chunk, each batch is a contiguous run of at most [chunk] items, and
+     the batches partition the input. *)
   let n = 30 and chunk = 7 in
   let collect jobs =
     let mu = Mutex.create () in
@@ -314,8 +314,9 @@ let test_pool_flush_batches () =
     List.rev !batches
   in
   Alcotest.(check (list (list int)))
-    "serial path flushes once, at the end"
-    [ List.init n Fun.id ] (collect 1);
+    "serial path flushes after every item"
+    (List.init n (fun i -> [ i ]))
+    (collect 1);
   let batches = collect 4 in
   Alcotest.(check int) "one flush per claimed chunk"
     ((n + chunk - 1) / chunk)
@@ -380,11 +381,23 @@ let test_pool_dispatch_scaling_floor () =
   if s < 1.4 then
     Alcotest.failf "2-worker dispatch speedup %.2fx below the 1.4x floor" s
 
+let median xs =
+  let a = Array.of_list (List.sort compare xs) in
+  a.(Array.length a / 2)
+
 let test_pool_cpu_scaling_floor () =
   (* CPU-bound counterpart — only meaningful with two real cores.  On a
      single-core runner compute cannot parallelize and the pool rightly
      refuses to pretend (test_pool_reports_effective_size covers the
-     clamp), so skip rather than assert the impossible. *)
+     clamp), so skip rather than assert the impossible.
+
+     The affinity mask can promise two cores that a shared host withholds
+     for seconds at a time, so the floor is calibrated in the same
+     window: each round times the kernel serially, on two raw domains
+     (no pool) and on a two-worker pool.  Where the host delivers 1.6x
+     or more on raw domains, the pool must reach the absolute 1.3x;
+     below that, it must keep 80% of what raw domains reached — a pool
+     slower than bare domains is still a failure. *)
   if Pool.available_cores () < 2 then Alcotest.skip ()
   else begin
     let work _ =
@@ -396,12 +409,31 @@ let test_pool_cpu_scaling_floor () =
     in
     let tasks = Array.init 8 Fun.id in
     let run jobs = ignore (Pool.map ~jobs ~chunk:1 work tasks) in
+    let raw () =
+      let half lo = for i = lo to lo + 3 do ignore (work i) done in
+      let d = Domain.spawn (fun () -> half 4) in
+      half 0;
+      Domain.join d
+    in
     run 2;
-    let t1 = wall (fun () -> run 1) in
-    let t2 = wall (fun () -> run 2) in
-    let s = t1 /. Float.max t2 1e-9 in
-    if s < 1.3 then
-      Alcotest.failf "2-core CPU speedup %.2fx below the 1.3x floor" s
+    raw ();
+    let rounds =
+      List.init 5 (fun _ ->
+          let t1 = wall (fun () -> run 1) in
+          let tr = wall raw in
+          let t2 = wall (fun () -> run 2) in
+          (t1 /. Float.max tr 1e-9, t1 /. Float.max t2 1e-9))
+    in
+    let raw_s = median (List.map fst rounds)
+    and pool_s = median (List.map snd rounds) in
+    let floor = if raw_s >= 1.6 then 1.3 else 0.8 *. raw_s in
+    Printf.printf
+      "calibration: raw domains %.2fx, pool %.2fx, floor %.2fx (median of 5)\n"
+      raw_s pool_s floor;
+    if pool_s < floor then
+      Alcotest.failf
+        "2-core CPU speedup %.2fx below the %.2fx floor (raw domains %.2fx)"
+        pool_s floor raw_s
   end
 
 (* ------------------------------------------------------------------ *)
@@ -1030,18 +1062,69 @@ let sched_print (jobs, chunk, over) =
 
 let chunk_opt c = if c = 0 then None else Some c
 
+(* A monitor that records only the item count the pool was handed. *)
+let items_monitor seen =
+  {
+    (size_monitor (ref 0)) with
+    Pool.on_start = (fun ~jobs:_ ~items -> seen := items);
+  }
+
+(* Journaled too: whatever the schedule, the journal holds one record per
+   point, and a resume from that journal cut back at a random record
+   boundary hands the pool only the missing points and returns the same
+   rows. *)
 let prop_batched_sweep_identical =
   QCheck.Test.make
     ~name:"sweep byte-identical under randomized batching" ~count:12
     (QCheck.make
-       ~print:(fun (axes, sched) -> axes_print axes ^ " / " ^ sched_print sched)
-       QCheck.Gen.(pair axes_gen sched_gen))
-    (fun (axes, (jobs, chunk, over)) ->
+       ~print:(fun (axes, sched, cut) ->
+         Printf.sprintf "%s / %s / cut %d" (axes_print axes) (sched_print sched)
+           cut)
+       QCheck.Gen.(triple axes_gen sched_gen nat))
+    (fun (axes, (jobs, chunk, over), cut) ->
       let sequential = render (Sweep.run ~jobs:1 ~base:Params.default axes) in
-      render
-        (Sweep.run ?chunk:(chunk_opt chunk) ~oversubscribe:over ~jobs
-           ~base:Params.default axes)
-      = sequential)
+      let run ?journal ?monitor () =
+        render
+          (Sweep.run ?journal ?monitor ?chunk:(chunk_opt chunk)
+             ~oversubscribe:over ~jobs ~base:Params.default axes)
+      in
+      let n = List.length (Sweep.points axes) in
+      let path = Filename.concat (tmp_dir "lattol_qcsweep") "sweep.ltj" in
+      let meta = Sweep.journal_meta ~base:Params.default axes in
+      let j = Journal.create ~path ~meta () in
+      let journaled = run ~journal:j () in
+      Journal.close j;
+      let header, records =
+        match
+          In_channel.with_open_bin path In_channel.input_all
+          |> String.split_on_char '\n'
+          |> List.filter (fun l -> l <> "")
+        with
+        | h :: rs -> (h, rs)
+        | [] -> ("", [])
+      in
+      let ids =
+        List.map (fun l -> List.nth (String.split_on_char ' ' l) 1) records
+      in
+      let keep = cut mod (n + 1) in
+      Out_channel.with_open_bin path (fun oc ->
+          List.iter
+            (fun l -> Out_channel.output_string oc (l ^ "\n"))
+            (header :: List.filteri (fun i _ -> i < keep) records));
+      match Journal.resume ~path ~meta () with
+      | Error e -> QCheck.Test.fail_reportf "resume failed: %s" e
+      | Ok j2 ->
+        let handed = ref (-1) in
+        let resumed = run ~journal:j2 ~monitor:(items_monitor handed) () in
+        let appended = Journal.appended j2 in
+        Journal.close j2;
+        run () = sequential
+        && journaled = sequential
+        && List.length (List.sort_uniq compare ids) = n
+        && List.length records = n
+        && !handed = n - keep
+        && appended = n - keep
+        && resumed = sequential)
 
 let prop_batched_replicate_identical =
   QCheck.Test.make

@@ -26,6 +26,11 @@ let worker_src =
   "let bump x = Tally.total := !Tally.total + x\n\
    let work xs = Pool.map ~jobs:4 (fun x -> bump x; x) xs\n"
 
+(* The checkpointed fan-out runs its task on pool domains too. *)
+let journal_worker_src =
+  "let bump x = Tally.total := !Tally.total + x\n\
+   let work j n = Journal.map j ~id:string_of_int (fun _ i -> bump i; i) n\n"
+
 let hot_src =
   "let scale k x = k *. x\n\
    let[@lattol.hot] solve n =\n\
@@ -47,17 +52,21 @@ let test_summary_deterministic () =
       ("hot.ml", hot_src) ]
 
 let test_summary_shape () =
-  let s = summarize ~file:"worker.ml" worker_src in
-  let ids = List.map (fun (f : Callgraph.fn) -> f.id) s.Callgraph.fns in
-  Alcotest.(check bool) "bump is a node" true (List.mem "Worker.bump" ids);
-  let par =
-    List.filter (fun (f : Callgraph.fn) -> f.par_root) s.Callgraph.fns
-  in
-  Alcotest.(check int) "one parallel root (the Pool.map closure)" 1
-    (List.length par);
-  let root = List.hd par in
-  Alcotest.(check bool) "the root calls bump" true
-    (List.exists (fun (c, _) -> c = "bump") root.Callgraph.calls)
+  List.iter
+    (fun (spawn, src) ->
+      let s = summarize ~file:"worker.ml" src in
+      let ids = List.map (fun (f : Callgraph.fn) -> f.id) s.Callgraph.fns in
+      Alcotest.(check bool) "bump is a node" true (List.mem "Worker.bump" ids);
+      let par =
+        List.filter (fun (f : Callgraph.fn) -> f.par_root) s.Callgraph.fns
+      in
+      Alcotest.(check int)
+        (Printf.sprintf "one parallel root (the %s closure)" spawn)
+        1 (List.length par);
+      let root = List.hd par in
+      Alcotest.(check bool) "the root calls bump" true
+        (List.exists (fun (c, _) -> c = "bump") root.Callgraph.calls))
+    [ ("Pool.map", worker_src); ("Journal.map", journal_worker_src) ]
 
 let test_mutstate_inventory () =
   let gs = Mutstate.scan ~file:"tally.ml" (parse tally_src) in

@@ -441,9 +441,14 @@ let test_trace_report_reconciles () =
         Unix.sleepf solve_s);
     Trace_ctx.finish h
   in
-  (* natural order must put grid/9 before grid/10 *)
-  mk_point ~point:"grid/10" ~label:"n_t=10" ~queue_s:0.001 ~solve_s:0.012;
+  (* natural order must put grid/9 before grid/10; walls of ~41 ms and
+     ~13 ms, so sleep jitter cannot reorder them *)
+  mk_point ~point:"grid/10" ~label:"n_t=10" ~queue_s:0.001 ~solve_s:0.040;
   mk_point ~point:"grid/9" ~label:"n_t=9" ~queue_s:0.012 ~solve_s:0.001;
+  (* A batched checkpoint commit serves a whole chunk, so it hangs off
+     the run, under no point. *)
+  Trace_ctx.with_span ~cat:"journal" ~name:"append-batch" root (fun _ ->
+      Unix.sleepf 0.002);
   Trace_ctx.seal r;
   let rep = Trace_report.analyze r in
   Alcotest.(check (list string)) "natural point order" [ "grid/9"; "grid/10" ]
@@ -469,6 +474,17 @@ let test_trace_report_reconciles () =
   (match Trace_report.slowest 1 rep with
   | [ p ] -> Alcotest.(check string) "slowest" "grid/10" p.Trace_report.point
   | _ -> Alcotest.fail "slowest 1 should yield one point");
+  Alcotest.(check int) "one run-level journal span" 1
+    rep.Trace_report.r_run_journal_spans;
+  Alcotest.(check bool) "run-level journal time reported" true
+    (rep.Trace_report.r_run_journal_ms >= 2.);
+  Alcotest.(check (float 0.)) "run-level journal stays out of the TOTAL row"
+    0. rep.Trace_report.r_journal_ms;
+  let table = Buffer.create 512 in
+  Trace_report.pp_table table rep;
+  Alcotest.(check bool) "run-level journal line" true
+    (contains ~needle:"\nrun-level journal: " (Buffer.contents table)
+    && contains ~needle:" ms in 1 spans\n" (Buffer.contents table));
   let b = Buffer.create 512 in
   Trace_report.to_json b rep;
   let json = Buffer.contents b in
@@ -479,6 +495,8 @@ let test_trace_report_reconciles () =
       "\"verdict\"";
       "\"critical_path\"";
       "\"cache_wait_ms\"";
+      "\"run_journal_ms\":";
+      "\"run_journal_spans\":1";
     ]
 
 let test_trace_report_live_probe () =
