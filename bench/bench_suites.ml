@@ -30,13 +30,18 @@ let estimate raw instance =
   | Some (t :: _) -> t
   | Some [] | None -> nan
 
-(* One un-timed run bracketed by [Gc.quick_stat]: absolute word deltas
-   per subject.  Unlike the Bechamel per-run estimate these include major
-   and promoted words, so an allocation diet (ROADMAP item 3) can gate
-   all three directions of heap pressure, not just minor churn. *)
+(* One un-timed run: absolute word deltas per subject.  Minor words come
+   from [Gc.minor_words ()], which counts every allocation as it happens;
+   on OCaml 5 [Gc.quick_stat]'s [minor_words] only advances at a minor
+   collection, so it read whole minor heaps (or 0) instead.  Unlike the
+   per-run figure these include major and promoted words, so an
+   allocation diet (ROADMAP item 3) can gate all three directions of
+   heap pressure, not just minor churn. *)
 let gc_deltas ~name f =
   let s0 = Gc.quick_stat () in
+  let w0 = Gc.minor_words () in
   f ();
+  let minor = Gc.minor_words () -. w0 in
   let s1 = Gc.quick_stat () in
   let m field value =
     {
@@ -46,25 +51,34 @@ let gc_deltas ~name f =
     }
   in
   [
-    m "minor_words" (s1.Gc.minor_words -. s0.Gc.minor_words);
+    m "minor_words" minor;
     m "major_words" (s1.Gc.major_words -. s0.Gc.major_words);
     m "promoted_words" (s1.Gc.promoted_words -. s0.Gc.promoted_words);
   ]
 
-(* Per-run time and minor allocation for one thunk, as two metrics. *)
+(* Per-run time (Bechamel) and exact minor allocation per run (a
+   [Gc.minor_words ()] delta over a fixed number of runs), as two
+   metrics. *)
 let bench ~quick ~name f =
   let open Bechamel in
   let cfg =
     if quick then Benchmark.cfg ~limit:50 ~quota:(Time.second 0.025) ~kde:None ()
     else Benchmark.cfg ~limit:200 ~quota:(Time.second 1.0) ~kde:None ()
   in
-  let instances =
-    Toolkit.Instance.[ monotonic_clock; minor_allocated ]
-  in
   let test = Test.make ~name (Staged.stage f) in
+  let runs = if quick then 3 else 10 in
+  let minor_alloc () =
+    let w0 = Gc.minor_words () in
+    for _ = 1 to runs do
+      f ()
+    done;
+    (Gc.minor_words () -. w0) /. float_of_int runs
+  in
   List.concat_map
     (fun elt ->
-      let raw = Benchmark.run cfg instances elt in
+      let raw =
+        Benchmark.run cfg Toolkit.Instance.[ monotonic_clock ] elt
+      in
       [
         {
           Bench_json.name = Printf.sprintf "solvers/%s/time" name;
@@ -74,7 +88,7 @@ let bench ~quick ~name f =
         {
           Bench_json.name = Printf.sprintf "solvers/%s/minor_alloc" name;
           units = "w/run";
-          value = estimate raw Toolkit.Instance.minor_allocated;
+          value = minor_alloc ();
         };
       ])
     (Test.elements test)

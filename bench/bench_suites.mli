@@ -9,11 +9,12 @@
 val solvers : quick:bool -> unit -> Bench_json.doc
 (** Micro-benchmarks of the four analytical solvers and both simulators:
     [solvers/<name>/time] (ns/run, Bechamel OLS estimate) and
-    [solvers/<name>/minor_alloc] (minor words/run) per subject, plus
-    absolute [Gc.quick_stat] word deltas over one un-timed run —
-    [solvers/<name>/minor_words], [.../major_words] and
+    [solvers/<name>/minor_alloc] (minor words/run, averaged over a fixed
+    number of runs) per subject, plus absolute word deltas over one
+    un-timed run — [solvers/<name>/minor_words], [.../major_words] and
     [.../promoted_words] — so allocation drift gates alongside time
-    drift. *)
+    drift.  Minor words are exact counts from [Gc.minor_words ()]; the
+    major and promoted words come from [Gc.quick_stat]. *)
 
 val exec : quick:bool -> unit -> Bench_json.doc
 (** Execution-layer numbers, all walls median-of-three:

@@ -477,11 +477,7 @@ let solve_with_telemetry ?solver ?telemetry ?label params =
   | Some tel when params.Params.n_t > 0 ->
     let open Lattol_queueing in
     let resolved =
-      match solver with
-      | Some s -> s
-      | None ->
-        if Mms.symmetric_applicable params then Mms.Symmetric_amva
-        else Mms.General_amva
+      match solver with Some s -> s | None -> Mms.default_solver params
     in
     Lattol_obs.Solver_trace.start_attempt tel ?label
       ~budget:Amva.default_options.Amva.max_iterations
@@ -491,11 +487,10 @@ let solve_with_telemetry ?solver ?telemetry ?label params =
       Lattol_obs.Solver_trace.record tel ~iteration ~residual;
       Amva.Continue
     in
-    let solution = Mms.solve_network ~solver:resolved ~on_sweep params in
+    let m = Mms.solve ~solver:resolved ~on_sweep params in
     Lattol_obs.Solver_trace.finish_attempt tel
-      ~converged:solution.Solution.converged
-      ~iterations:solution.Solution.iterations;
-    Mms.measures_of_solution params solution
+      ~converged:m.Measures.converged ~iterations:m.Measures.iterations;
+    m
   | Some _ | None -> Mms.solve ?solver params
 
 (* ------------------------------------------------------------------ *)

@@ -76,9 +76,14 @@ val solve_network :
   ?on_sweep:(iteration:int -> residual:float -> Lattol_queueing.Amva.progress) ->
   Params.t -> Solution.t
 (** Solve with the chosen solver (default [Symmetric_amva] on a torus with
-    a translation-invariant pattern, [General_amva] otherwise).  The
-    symmetric solver returns a full [Solution.t] with every class filled
-    in by translation.  [tolerance] (default 1e-8 general / 1e-10
+    a translation-invariant pattern, [General_amva] otherwise) and return
+    the full multi-class solution, for callers that need per-class
+    matrices, such as the supervisor's per-class cross-checks.  The
+    symmetric solver's fixed point is class 0's orbit; here it is
+    expanded into a [Solution.t] with every class filled in by torus
+    translation and the network built, which costs far more than the
+    fixed point itself ([P] classes x [4 P] stations).  {!solve} skips
+    that expansion.  [tolerance] (default 1e-8 general / 1e-10
     symmetric) and [max_iterations] (default 10_000 / 100_000) control the
     fixed-point iteration; hitting the cap is reported through the
     solution's [converged] flag, never an exception.  [damping] (default 0)
@@ -93,9 +98,16 @@ val solve :
   ?damping:float ->
   ?on_sweep:(iteration:int -> residual:float -> Lattol_queueing.Amva.progress) ->
   Params.t -> Measures.t
-(** End-to-end: validate parameters, build, solve, extract the paper's
-    measures for (the representative) class 0.  [on_sweep] observes every
-    fixed-point sweep exactly as in {!solve_network}. *)
+(** End-to-end: validate parameters, solve, extract the paper's measures
+    for (the representative) class 0, with the solve's [iterations] and
+    [converged] flag.  [on_sweep] observes every fixed-point sweep exactly
+    as in {!solve_network}.  The symmetric solver's measures are read
+    straight from class 0's orbit: no [Solution.t] and no network are
+    built.  The all-class utilization and queue sums still add every
+    class's own term in class order, so the result is bit-identical to
+    [measures_of_solution p (solve_network p)].  The other solvers solve
+    the full network and extract through the same formulas. *)
 
 val measures_of_solution : Params.t -> Solution.t -> Measures.t
-(** Extract {!Measures.t} from a solution of {!build_network}'s layout. *)
+(** Extract {!Measures.t} from a solution of {!build_network}'s layout
+    (the same formulas {!solve} applies to the symmetric orbit). *)

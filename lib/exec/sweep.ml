@@ -208,11 +208,10 @@ let run ?solver ?cache ?(jobs = 1) ?chunk ?oversubscribe
           | None -> Amva.Continue
           | Some f -> f ~iteration ~residual
         in
-        let solution = Mms.solve_network ~solver:resolved ~on_sweep:h params in
+        let m = Mms.solve ~solver:resolved ~on_sweep:h params in
         Lattol_obs.Solver_trace.finish_attempt tel
-          ~converged:solution.Solution.converged
-          ~iterations:solution.Solution.iterations;
-        Mms.measures_of_solution params solution
+          ~converged:m.Measures.converged ~iterations:m.Measures.iterations;
+        m
       | _ -> Mms.solve ~solver:resolved ?on_sweep:hook params
     in
     let traced =

@@ -111,26 +111,28 @@ let max_distance t =
     t.dims;
   !acc
 
-let route t ~src ~dst =
+let iter_route t ~src ~dst f =
   check_node t src "route";
   check_node t dst "route";
-  let target = coords_nd t dst in
-  let rec go current acc =
-    (* Dimension-order: finish dimension 0, then 1, ... *)
-    let rec find_dim d =
-      if d = Array.length t.dims then None
-      else if current.(d) <> target.(d) then Some d
-      else find_dim (d + 1)
-    in
-    match find_dim 0 with
-    | None -> List.rev acc
-    | Some d ->
-      let k = t.dims.(d) in
-      let step = axis_delta t d current.(d) target.(d) in
-      current.(d) <- ((current.(d) + step) mod k + k) mod k;
-      go current (of_coords_nd t current :: acc)
-  in
-  go (coords_nd t src) []
+  (* Dimension-order: finish dimension 0, then 1, ...  Only the
+     coordinate being corrected changes, so the node number moves by
+     that dimension's stride at each hop. *)
+  let node = ref src in
+  for d = 0 to Array.length t.dims - 1 do
+    let k = t.dims.(d) and target = coord t dst d in
+    let c = ref (coord t src d) in
+    while !c <> target do
+      let next = ((!c + axis_delta t d !c target) mod k + k) mod k in
+      node := !node + ((next - !c) * t.strides.(d));
+      c := next;
+      f !node
+    done
+  done
+
+let route t ~src ~dst =
+  let acc = ref [] in
+  iter_route t ~src ~dst (fun hop -> acc := hop :: !acc);
+  List.rev !acc
 
 let neighbours t n =
   check_node t n "neighbours";
@@ -190,6 +192,20 @@ let subtract t n ~by =
         (cs.(d) - bs.(d) + t.dims.(d)) mod t.dims.(d))
   in
   of_coords_nd t moved
+
+let subtract_table t =
+  if not (is_vertex_transitive t) then
+    invalid_arg "Topology.subtract_table: vertex-transitive networks only";
+  let nd = Array.length t.dims in
+  let cs = Array.init t.num_nodes (fun n -> Array.init nd (coord t n)) in
+  Array.init t.num_nodes (fun n ->
+      Array.init t.num_nodes (fun by ->
+          let acc = ref 0 in
+          for d = 0 to nd - 1 do
+            let x = cs.(n).(d) - cs.(by).(d) in
+            acc := !acc + ((if x < 0 then x + t.dims.(d) else x) * t.strides.(d))
+          done;
+          !acc))
 
 let pp ppf t =
   Fmt.pf ppf "%s %a"

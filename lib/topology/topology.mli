@@ -59,10 +59,18 @@ val distance : t -> node -> node -> int
 val max_distance : t -> int
 (** Network diameter ([d_max] in the paper). *)
 
+val iter_route : t -> src:node -> dst:node -> (node -> unit) -> unit
+(** [iter_route t ~src ~dst f] applies [f] to each node of
+    [route t ~src ~dst] in order, without building the list.  The one
+    routing implementation: {!route} is built on it. *)
+
 val route : t -> src:node -> dst:node -> node list
 (** Dimension-order route from [src] to [dst]: the sequence of nodes the
     message visits {e after} leaving [src], ending with [dst] (empty when
-    [src = dst]).  Its length equals [distance t src dst]. *)
+    [src = dst]).  Its length equals [distance t src dst].  On a torus the
+    routing commutes with {!translate}: the route from [translate s ~by]
+    to [translate d ~by] is the route from [s] to [d] translated by
+    [by]. *)
 
 val neighbours : t -> node -> node list
 (** Directly connected nodes (each once, sorted). *)
@@ -84,5 +92,11 @@ val translate : t -> node -> by:node -> node
 
 val subtract : t -> node -> by:node -> node
 (** Inverse of {!translate}: coordinate-wise subtraction (torus only). *)
+
+val subtract_table : t -> node array array
+(** [(subtract_table t).(n).(by) = subtract t n ~by] for every pair of
+    nodes: the whole translation group, for loops that translate every
+    node by every other.  Defined on the networks {!is_vertex_transitive}
+    accepts: tori, and the one-node mesh (whose table is [[|[|0|]|]]). *)
 
 val pp : Format.formatter -> t -> unit

@@ -1176,6 +1176,192 @@ let test_params_hypercube () =
     (cube.Measures.u_p > ring.Measures.u_p)
 
 (* ------------------------------------------------------------------ *)
+(* Orbit measures: [Mms.solve] reads the symmetric solver's class-0
+   fixed point directly; it must agree bit for bit with the measures of
+   the fully expanded [Solution.t]. *)
+
+let measures_bits (m : Measures.t) =
+  let f name v = (name, Printf.sprintf "%Lx" (Int64.bits_of_float v)) in
+  [
+    f "u_p" m.Measures.u_p;
+    f "lambda" m.Measures.lambda;
+    f "lambda_net" m.Measures.lambda_net;
+    f "s_obs" m.Measures.s_obs;
+    f "l_obs" m.Measures.l_obs;
+    f "cycle_time" m.Measures.cycle_time;
+    f "util_memory" m.Measures.util_memory;
+    f "util_switch_in" m.Measures.util_switch_in;
+    f "util_switch_out" m.Measures.util_switch_out;
+    f "util_sync" m.Measures.util_sync;
+    f "su_obs" m.Measures.su_obs;
+    f "queue_processor" m.Measures.queue_processor;
+    f "queue_memory" m.Measures.queue_memory;
+    f "queue_network" m.Measures.queue_network;
+    ("iterations", string_of_int m.Measures.iterations);
+    ("converged", string_of_bool m.Measures.converged);
+  ]
+
+(* The first field where the orbit and the expanded solution differ. *)
+let orbit_mismatch p =
+  let orbit = Mms.solve p in
+  let full = Mms.measures_of_solution p (Mms.solve_network p) in
+  List.find_opt
+    (fun ((_, a), (_, b)) -> a <> b)
+    (List.combine (measures_bits orbit) (measures_bits full))
+
+let check_orbit_identical p =
+  match orbit_mismatch p with
+  | None -> ()
+  | Some ((field, a), (_, b)) ->
+    Alcotest.failf "%s: orbit %s vs expanded %s for %s" field a b
+      (Format.asprintf "%a" Params.pp p)
+
+let test_orbit_figure_configs () =
+  (* Every distinct machine the four figure grids solve: each valid grid
+     point and both of its ideal systems, as Sweep.run forms them. *)
+  let seen = Hashtbl.create 512 in
+  List.iter
+    (fun (fig : Lattol_exec.Figures.figure) ->
+      List.iter
+        (fun assigns ->
+          let p =
+            List.fold_left
+              (fun p (param, v) -> Lattol_exec.Sweep.apply p param v)
+              fig.Lattol_exec.Figures.base assigns
+          in
+          match Params.validate p with
+          | Error _ -> ()
+          | Ok p ->
+            List.iter
+              (fun q -> Hashtbl.replace seen q ())
+              [
+                p;
+                Tolerance.ideal_params Tolerance.Network_latency
+                  Tolerance.Zero_remote p;
+                Tolerance.ideal_params Tolerance.Memory_latency
+                  Tolerance.Zero_delay p;
+              ])
+        (Lattol_exec.Sweep.points fig.Lattol_exec.Figures.axes))
+    (Lattol_exec.Figures.all ());
+  Alcotest.(check bool) "hundreds of configurations" true
+    (Hashtbl.length seen > 200);
+  Hashtbl.iter
+    (fun p () -> if p.Params.n_t > 0 then check_orbit_identical p)
+    seen
+
+(* Cache lines of [Mms.solve] recorded before the solve skipped the
+   expanded solution: the hex floats pin every bit. *)
+let test_orbit_recorded_lines () =
+  List.iter
+    (fun (name, p, line) ->
+      Alcotest.(check string) name line
+        (Lattol_exec.Cache.encode_measures_line (Mms.solve p)))
+    [
+      ( "default 4x4",
+        default,
+        "u_p=0x1.a38ec78a15e1p-1;lambda=0x1.a38ec78a15e1p-1;lambda_net=0x1.4fa56c6e77e72p-3;s_obs=0x1.58d2f67b76f1ep+2;l_obs=0x1.04b7dc5d2a3f4p+2;cycle_time=0x1.3867b87e2f08cp+3;util_memory=0x1.a38ec78a15e0fp-1;util_switch_in=0x1.22e4b34eac2ecp-1;util_switch_out=0x1.4fa56c6e77e72p-2;util_sync=0x0p+0;su_obs=0x0p+0;queue_processor=0x1.72a837d69d4d7p+1;queue_memory=0x1.ab4a56e045848p+1;queue_network=0x1.c41ae2923a5ddp+0;iterations=73;converged=true"
+      );
+      ( "with an SU",
+        { default with Params.sync_unit = 1. },
+        "u_p=0x1.953d7a9deb70ep-1;lambda=0x1.953d7a9deb70ep-1;lambda_net=0x1.44312ee4bc5a4p-3;s_obs=0x1.4cfa61f599948p+2;l_obs=0x1.d7e0a136e7dcfp+1;cycle_time=0x1.437159cd78437p+3;util_memory=0x1.953d7a9deb70cp-1;util_switch_in=0x1.18f76ce85ef8fp-1;util_switch_out=0x1.44312ee4bc5a5p-2;util_sync=0x1.e649c6571a877p-2;su_obs=0x1.5bf6210ff637p+2;queue_processor=0x1.498421d554915p+1;queue_memory=0x1.757bd8cb353c1p+1;queue_network=0x1.a5acdce617f9p+0;iterations=65;converged=true"
+      );
+      ( "2 memory ports",
+        { default with Params.mem_ports = 2 },
+        "u_p=0x1.d84938e542825p-1;lambda=0x1.d84938e542825p-1;lambda_net=0x1.79d42d843534fp-3;s_obs=0x1.8e0fd1a719effp+2;l_obs=0x1.ffffffffffffdp-1;cycle_time=0x1.1586d855d81efp+3;util_memory=0x1.d84938e542826p-1;util_switch_in=0x1.47739eea0bfadp-1;util_switch_out=0x1.79d42d843535p-2;util_sync=0x0p+0;su_obs=0x0p+0;queue_processor=0x1.32170afb941bdp+2;queue_memory=0x1.d84938e542826p-1;queue_network=0x1.25bf9bcf87289p+1;iterations=62;converged=true"
+      );
+      ( "k = 6",
+        { default with Params.k = 6 },
+        "u_p=0x1.9e7714118c24cp-1;lambda=0x1.9e7714118c24cp-1;lambda_net=0x1.4b927674701d5p-3;s_obs=0x1.942bdf63b607cp+2;l_obs=0x1.f6cf1b9edd4cbp+1;cycle_time=0x1.3c3e644d2f9ffp+3;util_memory=0x1.9e7714118c24cp-1;util_switch_in=0x1.3bc870d06ac69p-1;util_switch_out=0x1.4b927674701d4p-2;util_sync=0x0p+0;su_obs=0x0p+0;queue_processor=0x1.633b9ce29c82ep+1;queue_memory=0x1.9706682db2f29p+1;queue_network=0x1.05bdfaefb08a1p+1;iterations=70;converged=true"
+      );
+      ( "k = 10",
+        { default with Params.k = 10 },
+        "u_p=0x1.9b7165ec8091ap-1;lambda=0x1.9b7165ec8091ap-1;lambda_net=0x1.492784bd33a7ap-3;s_obs=0x1.b673dae8f81e9p+2;l_obs=0x1.ec4f95f056134p+1;cycle_time=0x1.3e910f089d4e3p+3;util_memory=0x1.9b7165ec8092dp-1;util_switch_in=0x1.478bac6130264p-1;util_switch_out=0x1.492784bd33a67p-2;util_sync=0x0p+0;su_obs=0x0p+0;queue_processor=0x1.5a81c9e81b60cp+1;queue_memory=0x1.8b9eec6e2005bp+1;queue_network=0x1.19df49a9c49cdp+1;iterations=69;converged=true"
+      );
+    ]
+
+let test_orbit_one_node_mesh () =
+  (* A one-node mesh is vertex-transitive, so it takes the symmetric
+     solver; it is the same machine as the one-node torus. *)
+  let torus = { default with Params.k = 1; p_remote = 0. } in
+  let mesh = { torus with Params.topology = Topology.Mesh } in
+  check_orbit_identical mesh;
+  Alcotest.(check (list (pair string string)))
+    "same measures as the one-node torus"
+    (measures_bits (Mms.solve torus))
+    (measures_bits (Mms.solve mesh))
+
+(* Minor words are exact counts ([Gc.minor_words]), so these bounds are
+   properties of the code: the orbit path allocates a few thousand words
+   where expanding the solution took 165k, and a sweep allocates only the
+   boxed residual handed to the sweep observer. *)
+let test_orbit_allocation () =
+  let words f =
+    ignore (f ());
+    let w0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (f ()));
+    Gc.minor_words () -. w0
+  in
+  let full = words (fun () -> Mms.solve default) in
+  let one_sweep = words (fun () -> Mms.solve ~max_iterations:1 default) in
+  let sweeps = (Mms.solve default).Measures.iterations in
+  if full > 20_000. then Alcotest.failf "default solve allocated %.0f words" full;
+  let per_sweep = (full -. one_sweep) /. float_of_int (sweeps - 1) in
+  if per_sweep > 4. then
+    Alcotest.failf "%.1f words per sweep over %d sweeps" per_sweep sweeps
+
+(* Translation-invariant machines across the parameter space, ends of the
+   p_remote range included. *)
+let arb_symmetric_params =
+  let open QCheck.Gen in
+  let gen =
+    let* k = int_range 1 6 in
+    let* dimensions = int_range 1 3 in
+    let* p_remote =
+      if k = 1 then return 0.
+      else oneof [ return 0.; return 1.; float_range 0. 1. ]
+    in
+    let* pattern =
+      oneof
+        [ return Access.Uniform; map (fun s -> Access.Geometric s) (float_range 0.05 0.95) ]
+    in
+    let* sync_unit = oneof [ return 0.; float_range 0.1 2. ] in
+    let* mem_ports = int_range 1 3 in
+    let* switch_pipeline = int_range 1 3 in
+    let* context_switch = oneof [ return 0.; float_range 0. 1. ] in
+    let* runlength = float_range 0.5 4. in
+    let* n_t = int_range 0 10 in
+    return
+      {
+        default with
+        Params.k;
+        dimensions;
+        p_remote;
+        pattern;
+        sync_unit;
+        mem_ports;
+        switch_pipeline;
+        context_switch;
+        runlength;
+        n_t;
+      }
+  in
+  QCheck.make ~print:(Format.asprintf "%a" Params.pp) gen
+
+let prop_orbit_bit_identical =
+  QCheck.Test.make ~name:"orbit measures = expanded measures, bit for bit"
+    ~count:150 arb_symmetric_params (fun p ->
+      if p.Params.n_t = 0 then begin
+        (* No threads: solve answers without solving. *)
+        let m = Mms.solve p in
+        Float.equal m.Measures.lambda 0. && m.Measures.iterations = 0
+      end
+      else
+        match orbit_mismatch p with
+        | None -> true
+        | Some ((field, a), (_, b)) ->
+          QCheck.Test.fail_reportf "%s: orbit %s vs expanded %s" field a b)
+
+(* ------------------------------------------------------------------ *)
 (* Properties *)
 
 let arb_params =
@@ -1485,6 +1671,16 @@ let () =
           Alcotest.test_case "memory recommendation" `Quick
             test_report_memory_recommends_ports;
         ] );
+      ( "orbit",
+        [
+          Alcotest.test_case "figure configurations" `Quick
+            test_orbit_figure_configs;
+          Alcotest.test_case "recorded cache lines" `Quick
+            test_orbit_recorded_lines;
+          Alcotest.test_case "allocation" `Quick test_orbit_allocation;
+          Alcotest.test_case "one-node mesh" `Quick test_orbit_one_node_mesh;
+        ]
+        @ qcheck [ prop_orbit_bit_identical ] );
       ( "golden",
         [
           Alcotest.test_case "default solution" `Quick test_golden_default_solution;

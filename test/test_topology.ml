@@ -88,6 +88,83 @@ let test_route_translation_invariance () =
   Alcotest.(check (list int)) "translated route" (List.map (shift 6) route_a)
     route_b
 
+(* The list-building dimension-order router that [Topology.route] used
+   before it was rebuilt on [iter_route]: the reference hop lists. *)
+let reference_route t ~src ~dst =
+  let dims = Array.of_list (Topology.dims t) in
+  let target = Topology.coords_nd t dst in
+  let delta d a b =
+    match Topology.kind t with
+    | Topology.Mesh -> compare b a
+    | Topology.Torus ->
+      let k = dims.(d) in
+      let fwd = (b - a + k) mod k and bwd = (a - b + k) mod k in
+      if fwd = 0 then 0 else if fwd <= bwd then 1 else -1
+  in
+  let rec go current acc =
+    let rec find_dim d =
+      if d = Array.length dims then None
+      else if current.(d) <> target.(d) then Some d
+      else find_dim (d + 1)
+    in
+    match find_dim 0 with
+    | None -> List.rev acc
+    | Some d ->
+      let k = dims.(d) in
+      current.(d) <- ((current.(d) + delta d current.(d) target.(d)) mod k + k) mod k;
+      go current (Topology.of_coords_nd t current :: acc)
+  in
+  go (Topology.coords_nd t src) []
+
+let shapes =
+  List.concat_map
+    (fun dims ->
+      [ Topology.create_nd Topology.Torus ~dims; Topology.create_nd Topology.Mesh ~dims ])
+    [ [ 4; 4 ]; [ 5 ]; [ 6; 6 ]; [ 3; 3; 2 ]; [ 2; 2; 2 ]; [ 4; 1; 3 ] ]
+
+let test_route_matches_reference () =
+  List.iter
+    (fun t ->
+      let n = Topology.num_nodes t in
+      for src = 0 to n - 1 do
+        for dst = 0 to n - 1 do
+          let expected = reference_route t ~src ~dst in
+          let name = Format.asprintf "%a %d->%d" Topology.pp t src dst in
+          Alcotest.(check (list int)) name expected (Topology.route t ~src ~dst);
+          let walked = ref [] in
+          Topology.iter_route t ~src ~dst (fun hop -> walked := hop :: !walked);
+          Alcotest.(check (list int)) ("iter " ^ name) expected (List.rev !walked)
+        done
+      done)
+    shapes
+
+let test_routes_commute_with_translation () =
+  (* Node [x] is on route [c -> d] exactly when [x - c] is on route
+     [0 -> d - c]: the fact the symmetric solver's measures rely on. *)
+  List.iter
+    (fun t ->
+      if Topology.kind t = Topology.Torus then begin
+        let n = Topology.num_nodes t in
+        let sub = Topology.subtract_table t in
+        for a = 0 to n - 1 do
+          for by = 0 to n - 1 do
+            Alcotest.(check int) "table = subtract" (Topology.subtract t a ~by)
+              sub.(a).(by)
+          done
+        done;
+        for c = 0 to n - 1 do
+          for d = 0 to n - 1 do
+            let route = Topology.route t ~src:c ~dst:d in
+            let from_zero = Topology.route t ~src:0 ~dst:sub.(d).(c) in
+            Alcotest.(check (list int))
+              (Format.asprintf "%a %d->%d" Topology.pp t c d)
+              from_zero
+              (List.map (fun x -> sub.(x).(c)) route)
+          done
+        done
+      end)
+    shapes
+
 let test_neighbours () =
   let t = torus 4 in
   Alcotest.(check int) "torus degree" 4 (List.length (Topology.neighbours t 0));
@@ -404,6 +481,10 @@ let () =
           Alcotest.test_case "route properties" `Quick test_route_properties;
           Alcotest.test_case "route translation invariance" `Quick
             test_route_translation_invariance;
+          Alcotest.test_case "route = list router" `Quick
+            test_route_matches_reference;
+          Alcotest.test_case "routes commute with translation" `Quick
+            test_routes_commute_with_translation;
           Alcotest.test_case "neighbours" `Quick test_neighbours;
           Alcotest.test_case "nodes at distance" `Quick test_nodes_at_distance;
           Alcotest.test_case "invalid arguments" `Quick test_invalid_args;
