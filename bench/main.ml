@@ -1,6 +1,6 @@
 (* Reproduction harness: regenerates every table and figure of the paper's
-   evaluation (Sections 5-8) from the models in this repository, then runs
-   Bechamel micro-benchmarks of the solvers themselves.
+   evaluation (Sections 5-8) from the models in this repository.  Solver
+   and fan-out timings live in the benchmark suites (mms bench).
 
      dune exec bench/main.exe
 
@@ -874,115 +874,6 @@ let cache_ablation () =
     best.Cache_effects.n_t
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks of the solvers *)
-
-let solver_benchmarks () =
-  section "Solver micro-benchmarks (Bechamel)";
-  let open Bechamel in
-  let open Toolkit in
-  let p44 = default in
-  let p1010 = { default with Params.k = 10 } in
-  let tiny = { default with Params.k = 2; n_t = 2 } in
-  let tests =
-    [
-      Test.make ~name:"symmetric-amva 4x4"
-        (Staged.stage (fun () -> ignore (Mms.solve ~solver:Mms.Symmetric_amva p44)));
-      Test.make ~name:"symmetric-amva 10x10"
-        (Staged.stage (fun () -> ignore (Mms.solve ~solver:Mms.Symmetric_amva p1010)));
-      Test.make ~name:"general-amva 4x4"
-        (Staged.stage (fun () -> ignore (Mms.solve ~solver:Mms.General_amva p44)));
-      Test.make ~name:"linearizer 2x2 (n_t=3)"
-        (Staged.stage (fun () ->
-             ignore
-               (Mms.solve ~solver:Mms.Linearizer_amva
-                  { default with Params.k = 2; n_t = 3 })));
-      Test.make ~name:"exact-mva 2x2 (n_t=2)"
-        (Staged.stage (fun () -> ignore (Mms.solve ~solver:Mms.Exact_mva tiny)));
-      Test.make ~name:"des 4x4 (t=2000)"
-        (Staged.stage (fun () ->
-             ignore
-               (Lattol_sim.Mms_des.run
-                  ~config:
-                    {
-                      Lattol_sim.Mms_des.default_config with
-                      Lattol_sim.Mms_des.horizon = 2_000.;
-                      warmup = 100.;
-                    }
-                  p44)));
-      Test.make ~name:"stpn 4x4 (t=1000)"
-        (Staged.stage (fun () ->
-             ignore (Lattol_petri.Mms_stpn.run ~warmup:100. ~horizon:1_000. p44)));
-    ]
-  in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 1.5) ~kde:None () in
-  let instances = Instance.[ monotonic_clock ] in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  Format.printf "  %-26s %14s %8s@." "solver" "time/run" "r^2";
-  List.iter
-    (fun test ->
-      List.iter
-        (fun elt ->
-          let raw = Benchmark.run cfg instances elt in
-          let est = Analyze.one ols Instance.monotonic_clock raw in
-          let nanos =
-            match Analyze.OLS.estimates est with
-            | Some (t :: _) -> t
-            | _ -> nan
-          in
-          let pretty =
-            if nanos > 1e9 then Printf.sprintf "%.3f s" (nanos /. 1e9)
-            else if nanos > 1e6 then Printf.sprintf "%.3f ms" (nanos /. 1e6)
-            else if nanos > 1e3 then Printf.sprintf "%.3f us" (nanos /. 1e3)
-            else Printf.sprintf "%.0f ns" nanos
-          in
-          Format.printf "  %-26s %14s %8s@." (Test.Elt.name elt) pretty
-            (match Analyze.OLS.r_square est with
-            | Some r2 -> Printf.sprintf "%.4f" r2
-            | None -> "-"))
-        (Test.elements test))
-    tests
-
-(* ------------------------------------------------------------------ *)
-
-(* Wall-clock scaling of the replication fan-out: the same 16 DES
-   replications under 1, 2, 4 and 8 worker domains.  On an 8-core machine
-   the jobs=8 row shows >= 3x over jobs=1; on fewer cores the speedup
-   degrades gracefully (the pool never oversubscribes results, only
-   time).  Bechamel is wrong for this measurement — it reports CPU-like
-   per-run cost, while speedup is about elapsed time. *)
-let parallel_benchmarks () =
-  section "Parallel replication fan-out (Domain pool)";
-  let p = { default with Params.n_t = 4 } in
-  let config =
-    {
-      Lattol_sim.Mms_des.default_config with
-      Lattol_sim.Mms_des.horizon = 4_000.;
-      warmup = 200.;
-    }
-  in
-  let replications = 16 in
-  let run jobs =
-    ignore (Lattol_exec.Replicate.des ~jobs ~config ~replications p)
-  in
-  let time jobs =
-    let t0 = Unix.gettimeofday () in
-    run jobs;
-    Unix.gettimeofday () -. t0
-  in
-  run 1 (* warm the code paths before timing *);
-  let base = time 1 in
-  Format.printf "  %d DES replications of %a, horizon %g (cores: %d)@."
-    replications Params.pp p config.Lattol_sim.Mms_des.horizon
-    (Lattol_exec.Pool.available_cores ());
-  List.iter
-    (fun jobs ->
-      let t = if jobs = 1 then base else time jobs in
-      Format.printf "  jobs=%d: %7.3f s  (speedup %.2fx)@." jobs t (base /. t))
-    [ 1; 2; 4; 8 ]
-
-(* ------------------------------------------------------------------ *)
 
 let () =
   Csvout.configure ();
@@ -1014,7 +905,5 @@ let () =
   locality_ablation ();
   mesh_ablation ();
   cache_ablation ();
-  solver_benchmarks ();
-  parallel_benchmarks ();
   Csvout.note ();
   Format.printf "@.Done.@."

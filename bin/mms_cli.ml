@@ -266,18 +266,23 @@ let serve_socket_arg =
           "Like $(b,--serve) but listening on a Unix-domain socket at \
            $(docv) (for sandboxes without loopback TCP).")
 
-(* Run [k] with the exporter live, shutting it down afterwards.  Exit 124
-   on a bind failure — nothing has been computed yet at that point. *)
-let with_exporter ?health ?runtime ?trace ~serve ~serve_socket ~snapshot k =
-  let endpoint =
+(* The two flags fold into one endpoint.  Naming both is rejected while
+   the command line is parsed, before any journal is opened. *)
+let serve_term =
+  let endpoint serve serve_socket =
     match (serve, serve_socket) with
     | Some _, Some _ ->
-      prerr_endline "mms: --serve and --serve-socket are mutually exclusive";
-      exit 124
-    | Some port, None -> Some (Serve.Exporter.Tcp port)
-    | None, Some path -> Some (Serve.Exporter.Unix_path path)
-    | None, None -> None
+      `Error (false, "--serve and --serve-socket are mutually exclusive")
+    | Some port, None -> `Ok (Some (Serve.Exporter.Tcp port))
+    | None, Some path -> `Ok (Some (Serve.Exporter.Unix_path path))
+    | None, None -> `Ok None
   in
+  Term.(ret (const endpoint $ serve_arg $ serve_socket_arg))
+
+(* Run [k] with the exporter live on [endpoint], shutting it down
+   afterwards.  Exit 124 on a bind failure — nothing has been computed yet
+   at that point. *)
+let with_exporter ?health ?runtime ?trace ~snapshot endpoint k =
   match endpoint with
   | None -> k ()
   | Some endpoint -> (
@@ -295,6 +300,15 @@ let write_metrics_snapshot snap file =
       if Filename.check_suffix file ".csv" then
         Lattol_obs.Metrics.write_csv_snapshot snap oc
       else Lattol_obs.Metrics.write_json_snapshot snap oc)
+
+(* The --metrics-out file of a run that keeps a registry [reg].  When
+   serving, the file is the final scrape: the bytes /metrics.json returns
+   from here on.  Returns the number of series written. *)
+let write_run_metrics ~serving ~snapshot reg file =
+  let snap = if serving then snapshot () else Lattol_obs.Metrics.snapshot reg in
+  write_metrics_snapshot snap file;
+  flushed file;
+  List.length snap
 
 (* ------------------------------------------------------------------ *)
 (* causal tracing (--causal-trace / mms trace) *)
@@ -377,8 +391,6 @@ let profile_runtime_arg =
 
 let start_runtime_profile enabled = if enabled then Some (Rp.start ()) else None
 
-let runtime_scrape session = Option.map (fun s () -> Rp.live_json s) session
-
 (* While profiling and serving, the live runtime counters join every
    scrape as runtime_* families. *)
 let register_runtime_pulls progress session =
@@ -390,15 +402,13 @@ let register_runtime_pulls progress session =
             if Filename.check_suffix name "_total" then `Counter else `Gauge
           in
           Serve.Progress.register_pull progress ~kind name (fun () ->
-              match List.assoc_opt name (Rp.live_counters s) with
-              | Some v -> v
-              | None -> 0.))
+              Option.value ~default:0.
+                (List.assoc_opt name (Rp.live_counters s))))
         (Rp.live_counters s))
     session
 
-(* Stop the session and print the attribution table — to stderr by
-   default so commands whose stdout is golden CSV stay golden. *)
-let finish_runtime_profile ?(ppf = Format.err_formatter) session =
+(* Stop the session and print the attribution table to [ppf]. *)
+let finish_runtime_profile ppf session =
   Option.map
     (fun s ->
       let p = Rp.stop s in
@@ -411,9 +421,51 @@ let finish_runtime_profile ?(ppf = Format.err_formatter) session =
       p)
     session
 
-(* Bracket a non-pool workload (a single simulator run) in worker/task
-   marks so its main-domain time reads as compute, not spawn overhead.
-   No-ops when profiling is off. *)
+(* The profiler watches the pool through an ordinary monitor.  Each hook
+   writes its runtime event on the pool domain that fires it, so worker
+   and task spans land in that domain's ring, on the clock of its GC
+   events. *)
+let profiler_monitor =
+  {
+    Exec.Pool.on_start = (fun ~jobs:_ ~items:_ -> ());
+    on_worker =
+      (fun ~worker:_ ~busy ->
+        if busy then Rp.worker_begin () else Rp.worker_end ());
+    on_claim = (fun ~remaining -> Rp.queue_depth remaining);
+    on_item = ignore;
+    on_task =
+      (fun ~worker:_ ~busy ->
+        if busy then Rp.task_begin () else Rp.task_end ());
+  }
+
+(* One monitor that fires [a]'s hook, then [b]'s, for every event. *)
+let both_monitors (a : Exec.Pool.monitor) (b : Exec.Pool.monitor) =
+  {
+    Exec.Pool.on_start =
+      (fun ~jobs ~items ->
+        a.Exec.Pool.on_start ~jobs ~items;
+        b.Exec.Pool.on_start ~jobs ~items);
+    on_worker =
+      (fun ~worker ~busy ->
+        a.Exec.Pool.on_worker ~worker ~busy;
+        b.Exec.Pool.on_worker ~worker ~busy);
+    on_claim =
+      (fun ~remaining ->
+        a.Exec.Pool.on_claim ~remaining;
+        b.Exec.Pool.on_claim ~remaining);
+    on_item =
+      (fun () ->
+        a.Exec.Pool.on_item ();
+        b.Exec.Pool.on_item ());
+    on_task =
+      (fun ~worker ~busy ->
+        a.Exec.Pool.on_task ~worker ~busy;
+        b.Exec.Pool.on_task ~worker ~busy);
+  }
+
+(* Bracket a non-pool workload (a single simulator run) in the worker and
+   task marks the profiler's pool monitor writes, so its main-domain time
+   reads as compute, not spawn overhead.  No-ops when profiling is off. *)
 let profiled_section f =
   Rp.worker_begin ();
   Rp.task_begin ();
@@ -471,26 +523,15 @@ let register_measures reg ?labels (m : Measures.t) =
   g "queue_network" m.Measures.queue_network;
   g "sweeps" (float_of_int m.Measures.iterations)
 
-(* [Mms.solve] with the sweeps routed into a solver-trace attempt. *)
-let solve_with_telemetry ?solver ?telemetry ?label params =
+(* [Mms.solve], recorded as one solver-trace attempt when [telemetry] is
+   given. *)
+let solve_with_telemetry ?solver ?telemetry params =
   match telemetry with
   | Some tel when params.Params.n_t > 0 ->
-    let open Lattol_queueing in
-    let resolved =
+    let solver =
       match solver with Some s -> s | None -> Mms.default_solver params
     in
-    Lattol_obs.Solver_trace.start_attempt tel ?label
-      ~budget:Amva.default_options.Amva.max_iterations
-      ~solver:(Lattol_robust.Supervisor.solver_name resolved)
-      ~damping:Amva.default_options.Amva.damping ();
-    let on_sweep ~iteration ~residual =
-      Lattol_obs.Solver_trace.record tel ~iteration ~residual;
-      Amva.Continue
-    in
-    let m = Mms.solve ~solver:resolved ~on_sweep params in
-    Lattol_obs.Solver_trace.finish_attempt tel
-      ~converged:m.Measures.converged ~iterations:m.Measures.iterations;
-    m
+    Lattol_obs.Solver_trace.solve tel ~solver params
   | Some _ | None -> Mms.solve ?solver params
 
 (* ------------------------------------------------------------------ *)
@@ -626,9 +667,21 @@ let bottleneck_cmd =
     Term.(const run $ params_term)
 
 (* ------------------------------------------------------------------ *)
-(* sweep *)
+(* batch runs: shared flags, the journal and the live side
 
-let jobs_arg doc = Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
+   sweep, figures, trace, simulate and prof run their work on the pool.
+   Every flag they share is one term below that validates itself;
+   [with_journal] owns the checkpoint journal and [with_run] everything
+   that watches a run while it executes. *)
+
+let jobs_term doc =
+  let check jobs =
+    if jobs < 1 then `Error (false, "--jobs must be at least 1") else `Ok jobs
+  in
+  Term.(
+    ret
+      (const check
+      $ Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc)))
 
 let sweep_jobs_doc =
   "Worker domains.  Output is byte-identical for every value; $(b,--jobs 1) \
@@ -649,16 +702,14 @@ let chunk_arg =
            larger chunks amortize scheduling for uniform grids.  Output \
            is byte-identical for every value.")
 
-let check_chunk = function
-  | Some c when c < 1 -> Some "--chunk must be at least 1"
-  | _ -> None
+let chunk_term =
+  let check = function
+    | Some c when c < 1 -> `Error (false, "--chunk must be at least 1")
+    | chunk -> `Ok chunk
+  in
+  Term.(ret (const check $ chunk_arg))
 
 let cache_arg doc = Arg.(value & opt (some string) None & info [ "cache" ] ~docv:"DIR" ~doc)
-
-let measure_header = "u_p,lambda,lambda_net,s_obs,l_obs,tol_network,tol_memory"
-
-(* ------------------------------------------------------------------ *)
-(* crash-safety / chaos flags (shared by sweep, figures, simulate) *)
 
 let journal_arg doc =
   Arg.(value & opt (some string) None & info [ "journal" ] ~docv:"FILE" ~doc)
@@ -737,66 +788,66 @@ let chaos_kill_after_arg =
            journal record of this run is appended — an unclean mid-run \
            death for resume testing.  Requires a journal.")
 
-type robustness = {
-  journal_path : string option;
-  resume : bool;
+(* Fault handling for sweep and figures: retries, deadlines and the chaos
+   harness. *)
+type faults = {
   retry : Lattol_robust.Retry.policy option;
   deadline : float option;
   chaos : Lattol_robust.Chaos.plan;
-  kill_after : int option;
+  kill_after : int option;  (* needs a journal: see [with_journal] *)
 }
 
-(* Fold the nine flags into one validated record.  Retry backoff is
+(* Fold the seven flags into one validated record.  Retry backoff is
    compressed (20 ms doubling to a 100 ms cap) — these are solver tasks,
    not network calls, and the chaos soak tests retry hundreds of them. *)
-let robustness journal resume retries task_deadline rate attempts delay seed
-    kill_after =
-  if retries < 1 then Error "--retries must be at least 1"
-  else if (match task_deadline with Some d -> d <= 0. | None -> false) then
-    Error "--task-deadline must be positive"
-  else if (match kill_after with Some n -> n < 1 | None -> false) then
-    Error "--chaos-kill-after must be at least 1"
-  else if kill_after <> None && journal = None then
-    Error "--chaos-kill-after requires a journal"
-  else if resume && journal = None then Error "--resume requires --journal"
-  else
-    match
-      if rate > 0. || delay > 0. then
-        Lattol_robust.Chaos.plan ~fail_rate:rate ~fail_attempts:attempts
-          ~delay ~seed ()
-      else Lattol_robust.Chaos.none
-    with
-    | chaos ->
-      let retry =
-        if retries = 1 then None
-        else
-          Some
-            (Lattol_robust.Retry.policy ~max_attempts:retries
-               ~base_delay:0.02 ~max_delay:0.1 ())
-      in
-      Ok
-        {
-          journal_path = journal;
-          resume;
-          retry;
-          deadline = task_deadline;
-          chaos;
-          kill_after;
-        }
-    | exception Invalid_argument msg -> Error msg
-
-let kill_switch kill_after =
-  Option.map
-    (fun n k -> if k >= n then Lattol_robust.Chaos.kill_self ())
-    kill_after
+let faults_term =
+  let make retries deadline rate attempts delay seed kill_after =
+    if retries < 1 then `Error (false, "--retries must be at least 1")
+    else if (match deadline with Some d -> d <= 0. | None -> false) then
+      `Error (false, "--task-deadline must be positive")
+    else if (match kill_after with Some n -> n < 1 | None -> false) then
+      `Error (false, "--chaos-kill-after must be at least 1")
+    else
+      match
+        if rate > 0. || delay > 0. then
+          Lattol_robust.Chaos.plan ~fail_rate:rate ~fail_attempts:attempts
+            ~delay ~seed ()
+        else Lattol_robust.Chaos.none
+      with
+      | exception Invalid_argument msg -> `Error (false, msg)
+      | chaos ->
+        let retry =
+          if retries = 1 then None
+          else
+            Some
+              (Lattol_robust.Retry.policy ~max_attempts:retries
+                 ~base_delay:0.02 ~max_delay:0.1 ())
+        in
+        `Ok { retry; deadline; chaos; kill_after }
+  in
+  Term.(
+    ret
+      (const make $ retries_arg $ task_deadline_arg $ chaos_fail_rate_arg
+     $ chaos_fail_attempts_arg $ chaos_delay_arg $ chaos_seed_arg
+     $ chaos_kill_after_arg))
 
 (* Open (or resume) the journal at [path], report what a resume replayed,
-   run [k] with it and close it.  A journal that cannot be opened is an
-   [`Error] (exit 124) before any work. *)
-let with_journal ~on_record ~resume ~meta path k =
+   run [k] with it and close it.  [kill_after] arms the chaos kill switch
+   on the journal's records.  Without a path, [resume] and [kill_after]
+   have nothing to act on; they, and a journal that cannot be opened, are
+   an [`Error] (exit 124) before any work. *)
+let with_journal ?kill_after ~resume ~meta path k =
   match path with
+  | None when kill_after <> None ->
+    `Error (false, "--chaos-kill-after requires a journal")
+  | None when resume -> `Error (false, "--resume requires --journal")
   | None -> k None
   | Some path -> (
+    let on_record =
+      Option.map
+        (fun n k -> if k >= n then Lattol_robust.Chaos.kill_self ())
+        kill_after
+    in
     match
       if resume then Exec.Journal.resume ?on_record ~path ~meta ()
       else Ok (Exec.Journal.create ?on_record ~path ~meta ())
@@ -810,6 +861,67 @@ let with_journal ~on_record ~resume ~meta path k =
       Fun.protect
         ~finally:(fun () -> Exec.Journal.close j)
         (fun () -> k (Some j)))
+
+(* The live side of a batch run.  [work] gets the progress heartbeat
+   ([total] units of [phase]) and the pool monitor to attach: the
+   heartbeat's when serving, the profiler's when profiling, both when
+   both, and none otherwise, so an unserved, unprofiled run stays
+   unobserved.  The profiler starts before the exporter and stops after
+   it.  The clock freezes before [report] runs, so a --metrics-out
+   snapshot it writes holds the bytes of the final scrape.  [series]
+   joins every snapshot, [cache] adds its counters and the /healthz
+   probe, [trace] the /trace.json probe.  Returns [report]'s result and
+   the profile, whose attribution table went to [table] (stderr by
+   default). *)
+let with_run ~phase ~total ?cache ?trace ?series
+    ?(table = Format.err_formatter) ~serve ~profile ~report work =
+  let progress = Serve.Progress.create ~phase () in
+  Serve.Progress.set_total progress total;
+  Option.iter (register_cache_pulls progress) cache;
+  let session = start_runtime_profile profile in
+  register_runtime_pulls progress session;
+  let snapshot () =
+    Serve.Progress.to_snapshot progress
+    @ match series with Some f -> f () | None -> []
+  in
+  let monitor =
+    match
+      ( Option.map (fun _ -> Serve.Progress.pool_monitor progress) serve,
+        Option.map (fun _ -> profiler_monitor) session )
+    with
+    | Some live, Some profiler -> Some (both_monitors live profiler)
+    | (Some _ as m), None | None, m -> m
+  in
+  let result =
+    with_exporter
+      ?health:(Option.map cache_health cache)
+      ?runtime:(Option.map (fun s () -> Rp.live_json s) session)
+      ?trace:(Option.map trace_probe trace)
+      ~snapshot serve
+      (fun () ->
+        Serve.Progress.start progress;
+        let r = work progress monitor in
+        Serve.Progress.finish progress;
+        report snapshot r)
+  in
+  (result, finish_runtime_profile table session)
+
+let figure_points figures =
+  List.fold_left
+    (fun acc f -> acc + List.length (Exec.Sweep.points f.Exec.Figures.axes))
+    0 figures
+
+let unknown_figure name =
+  `Error
+    ( false,
+      Printf.sprintf "unknown figure %s (available: %s)" name
+        (String.concat ", "
+           (List.map (fun f -> f.Exec.Figures.name) (Exec.Figures.all ()))) )
+
+(* ------------------------------------------------------------------ *)
+(* sweep *)
+
+let measure_header = "u_p,lambda,lambda_net,s_obs,l_obs,tol_network,tol_memory"
 
 let sweep_cmd =
   let param_conv =
@@ -837,30 +949,60 @@ let sweep_cmd =
       value & opt_all int []
       & info [ "steps" ] ~docv:"N" ~doc:"Number of points (default 11).")
   in
+  let print_rows params axes registry rows =
+    let single = match axes with [ _ ] -> true | _ -> false in
+    if single then
+      Format.printf "# %a@.param,value,%s@." Params.pp params measure_header
+    else
+      Format.printf "# %a@.%s,%s@." Params.pp params
+        (String.concat ","
+           (List.map (fun a -> Exec.Sweep.param_name a.Exec.Sweep.param) axes))
+        measure_header;
+    List.iter
+      (fun row ->
+        let assigns = row.Exec.Sweep.assigns in
+        match row.Exec.Sweep.result with
+        | Error msg ->
+          Format.printf "# skipped %s: %s@." (Exec.Sweep.label assigns) msg
+        | Ok s ->
+          let m = s.Exec.Sweep.measures in
+          Option.iter
+            (fun reg ->
+              register_measures reg
+                ~labels:
+                  (List.map
+                     (fun (p, v) ->
+                       (Exec.Sweep.param_name p, Printf.sprintf "%g" v))
+                     assigns)
+                m)
+            registry;
+          let key =
+            if single then
+              let param, v = List.hd assigns in
+              Printf.sprintf "%s,%g" (Exec.Sweep.param_name param) v
+            else
+              String.concat ","
+                (List.map (fun (_, v) -> Printf.sprintf "%g" v) assigns)
+          in
+          Format.printf "%s,%.6f,%.6f,%.6f,%.6f,%.6f,%.6f,%.6f@." key
+            m.Measures.u_p m.Measures.lambda m.Measures.lambda_net
+            m.Measures.s_obs m.Measures.l_obs
+            s.Exec.Sweep.tol_network.Tolerance.tol
+            s.Exec.Sweep.tol_memory.Tolerance.tol)
+      rows
+  in
   let run params solver names froms tos stepss jobs chunk cache_dir
-      metrics_out trace_out causal_out causal_chrome serve serve_socket
-      journal resume retries task_deadline chaos_rate chaos_attempts
-      chaos_delay chaos_seed kill_after profile_runtime =
+      metrics_out trace_out causal_out causal_chrome serve journal resume
+      faults profile =
     let n = List.length names in
     let stepss = stepss @ List.init (max 0 (n - List.length stepss)) (fun _ -> 11) in
-    match
-      robustness journal resume retries task_deadline chaos_rate
-        chaos_attempts chaos_delay chaos_seed kill_after
-    with
-    | Error msg -> `Error (false, msg)
-    | Ok robust ->
     if List.length froms <> n || List.length tos <> n || List.length stepss <> n
     then
       `Error
         (false, "--param, --from, --to (and --steps) must be repeated together")
     else if List.exists (fun s -> s < 2) stepss then
       `Error (false, "--steps must be at least 2")
-    else if jobs < 1 then `Error (false, "--jobs must be at least 1")
-    else
-      match check_chunk chunk with
-      | Some msg -> `Error (false, msg)
-      | None ->
-      begin
+    else begin
       let axes =
         List.map2
           (fun param (lo, (hi, steps)) ->
@@ -869,11 +1011,9 @@ let sweep_cmd =
           (List.combine froms (List.combine tos stepss))
       in
       let meta = Exec.Sweep.journal_meta ?solver ~base:params axes in
-      with_journal
-        ~on_record:(kill_switch robust.kill_after)
-        ~resume:robust.resume ~meta robust.journal_path
+      with_journal ?kill_after:faults.kill_after ~resume ~meta journal
       @@ fun journal ->
-      let serving = serve <> None || serve_socket <> None in
+      let serving = serve <> None in
       let telemetry =
         Option.map (fun _ -> Lattol_obs.Solver_trace.create ()) trace_out
       in
@@ -888,21 +1028,6 @@ let sweep_cmd =
         else None
       in
       let cache = Exec.Cache.create ?dir:cache_dir () in
-      let progress = Serve.Progress.create ~phase:"sweep" () in
-      Serve.Progress.set_total progress (List.length (Exec.Sweep.points axes));
-      register_cache_pulls progress cache;
-      let snapshot () =
-        Serve.Progress.to_snapshot progress
-        @
-        match registry with
-        | Some reg -> Lattol_obs.Metrics.snapshot reg
-        | None -> []
-      in
-      let monitor =
-        if serving then Some (Serve.Progress.pool_monitor progress) else None
-      in
-      let prof = start_runtime_profile profile_runtime in
-      register_runtime_pulls progress prof;
       (match (telemetry, trace_out) with
       | Some tel, Some file ->
         flush_on_exit file (fun () -> write_solver_trace tel file)
@@ -911,86 +1036,40 @@ let sweep_cmd =
       | Some reg, Some file ->
         flush_on_exit file (fun () -> write_metrics reg file)
       | _ -> ());
-      with_exporter ~health:(cache_health cache)
-        ?runtime:(runtime_scrape prof)
-        ?trace:(Option.map trace_probe causal)
-        ~serve ~serve_socket ~snapshot
-        (fun () ->
-          Serve.Progress.start progress;
-          let rows =
-            Exec.Sweep.run ?solver ~cache ~jobs ?chunk ?trace:telemetry
-              ?causal:(Option.map Tc.root_ctx causal) ?monitor ?journal
-              ?retry:robust.retry ?deadline:robust.deadline
-              ~chaos:robust.chaos ~base:params axes
-          in
-          let single = match axes with [ _ ] -> true | _ -> false in
-          if single then
-            Format.printf "# %a@.param,value,%s@." Params.pp params
-              measure_header
-          else
-            Format.printf "# %a@.%s,%s@." Params.pp params
-              (String.concat ","
-                 (List.map
-                    (fun a -> Exec.Sweep.param_name a.Exec.Sweep.param)
-                    axes))
-              measure_header;
-          List.iter
-            (fun row ->
-              let assigns = row.Exec.Sweep.assigns in
-              match row.Exec.Sweep.result with
-              | Error msg ->
-                Format.printf "# skipped %s: %s@." (Exec.Sweep.label assigns)
-                  msg
-              | Ok s ->
-                let m = s.Exec.Sweep.measures in
-                Option.iter
-                  (fun reg ->
-                    register_measures reg
-                      ~labels:
-                        (List.map
-                           (fun (p, v) ->
-                             (Exec.Sweep.param_name p, Printf.sprintf "%g" v))
-                           assigns)
-                      m)
-                  registry;
-                let key =
-                  if single then
-                    let param, v = List.hd assigns in
-                    Printf.sprintf "%s,%g" (Exec.Sweep.param_name param) v
-                  else
-                    String.concat ","
-                      (List.map (fun (_, v) -> Printf.sprintf "%g" v) assigns)
-                in
-                Format.printf "%s,%.6f,%.6f,%.6f,%.6f,%.6f,%.6f,%.6f@." key
-                  m.Measures.u_p m.Measures.lambda m.Measures.lambda_net
-                  m.Measures.s_obs m.Measures.l_obs
-                  s.Exec.Sweep.tol_network.Tolerance.tol
-                  s.Exec.Sweep.tol_memory.Tolerance.tol)
-            rows;
-          Serve.Progress.finish progress;
-          (match causal with
-          | Some recorder ->
-            Tc.seal recorder;
-            let report = Trace_report.analyze recorder in
-            Option.iter (fun reg -> register_point_walls reg report) registry;
-            Option.iter (write_causal_report report) causal_out;
-            Option.iter (write_causal_chrome recorder) causal_chrome
-          | None -> ());
-          (match (telemetry, trace_out) with
-          | Some tel, Some file ->
-            write_solver_trace tel file;
-            flushed file
-          | _ -> ());
-          match (registry, metrics_out) with
-          | Some reg, Some file ->
-            (* When serving, the file is the final scrape: the same
-               snapshot bytes /metrics.json would return right now. *)
-            if serving then write_metrics_snapshot (snapshot ()) file
-            else write_metrics reg file;
-            flushed file
-          | _ -> ());
-      ignore (finish_runtime_profile prof);
-      `Ok ()
+      let report snapshot () =
+        (match causal with
+        | Some recorder ->
+          Tc.seal recorder;
+          let report = Trace_report.analyze recorder in
+          Option.iter (fun reg -> register_point_walls reg report) registry;
+          Option.iter (write_causal_report report) causal_out;
+          Option.iter (write_causal_chrome recorder) causal_chrome
+        | None -> ());
+        (match (telemetry, trace_out) with
+        | Some tel, Some file ->
+          write_solver_trace tel file;
+          flushed file
+        | _ -> ());
+        (match (registry, metrics_out) with
+        | Some reg, Some file ->
+          ignore (write_run_metrics ~serving ~snapshot reg file)
+        | _ -> ());
+        `Ok ()
+      in
+      fst
+        ( with_run ~phase:"sweep"
+            ~total:(List.length (Exec.Sweep.points axes))
+            ~cache ?trace:causal
+            ?series:
+              (Option.map (fun reg () -> Lattol_obs.Metrics.snapshot reg)
+                 registry)
+            ~serve ~profile ~report
+        @@ fun _ monitor ->
+          Exec.Sweep.run ?solver ~cache ~jobs ?chunk ?trace:telemetry
+            ?causal:(Option.map Tc.root_ctx causal) ?monitor ?journal
+            ?retry:faults.retry ?deadline:faults.deadline ~chaos:faults.chaos
+            ~base:params axes
+          |> print_rows params axes registry )
     end
   in
   Cmd.v
@@ -999,17 +1078,15 @@ let sweep_cmd =
       ret
         (const run $ params_term $ solver_term $ param_arg $ from_arg $ to_arg
        $ steps_arg
-       $ jobs_arg sweep_jobs_doc
-       $ chunk_arg
+       $ jobs_term sweep_jobs_doc
+       $ chunk_term
        $ cache_arg
            "Content-addressed solve cache: re-runs over the same \
             configurations perform zero new solves."
        $ metrics_out_arg $ trace_out_arg solver_trace_doc $ causal_trace_arg
-       $ causal_chrome_arg $ serve_arg $ serve_socket_arg
+       $ causal_chrome_arg $ serve_term
        $ journal_arg sweep_journal_doc
-       $ resume_arg $ retries_arg $ task_deadline_arg $ chaos_fail_rate_arg
-       $ chaos_fail_attempts_arg $ chaos_delay_arg $ chaos_seed_arg
-       $ chaos_kill_after_arg $ profile_runtime_arg))
+       $ resume_arg $ faults_term $ profile_runtime_arg))
 
 (* ------------------------------------------------------------------ *)
 (* figures *)
@@ -1032,99 +1109,55 @@ let figures_cmd =
           ~doc:"Produce only the named figure (repeatable).")
   in
   let run params solver out jobs chunk cache_dir no_cache only metrics_out
-      serve serve_socket journal resume retries task_deadline chaos_rate
-      chaos_attempts chaos_delay chaos_seed kill_after profile_runtime =
-    (* The journal is always on for figures — the batch is long enough
-       that crash-safety should not be opt-in. *)
-    let journal_path =
-      Some
-        (match journal with
-        | Some p -> p
-        | None -> Filename.concat out "journal.ltj")
-    in
+      serve journal resume faults profile =
+    let figures = Exec.Figures.all ~base:params () in
     match
-      robustness journal_path resume retries task_deadline chaos_rate
-        chaos_attempts chaos_delay chaos_seed kill_after
+      List.find_opt
+        (fun name ->
+          not (List.exists (fun f -> f.Exec.Figures.name = name) figures))
+        only
     with
-    | Error msg -> `Error (false, msg)
-    | Ok robust ->
-    if jobs < 1 then `Error (false, "--jobs must be at least 1")
-    else
-      match check_chunk chunk with
-      | Some msg -> `Error (false, msg)
-      | None ->
-      begin
-      let figures = Exec.Figures.all ~base:params () in
-      let unknown =
-        List.filter
-          (fun name -> not (List.exists (fun f -> f.Exec.Figures.name = name) figures))
-          only
+    | Some name -> unknown_figure name
+    | None ->
+      let figures =
+        if only = [] then figures
+        else List.filter (fun f -> List.mem f.Exec.Figures.name only) figures
       in
-      match unknown with
-      | name :: _ ->
-        `Error
-          ( false,
-            Printf.sprintf "unknown figure %s (available: %s)" name
-              (String.concat ", "
-                 (List.map (fun f -> f.Exec.Figures.name) figures)) )
-      | [] ->
-        let figures =
-          if only = [] then figures
-          else
-            List.filter (fun f -> List.mem f.Exec.Figures.name only) figures
-        in
-        let dir =
-          if no_cache then None
-          else
-            Some
-              (match cache_dir with
-              | Some d -> d
-              | None -> Filename.concat out "cache")
-        in
-        let cache = Exec.Cache.create ?dir () in
-        let meta = Exec.Figures.journal_meta ?solver figures in
-        with_journal
-          ~on_record:(kill_switch robust.kill_after)
-          ~resume:robust.resume ~meta robust.journal_path
-        @@ fun journal ->
-        let serving = serve <> None || serve_socket <> None in
-        let progress = Serve.Progress.create ~phase:"figures" () in
-        Serve.Progress.set_total progress
-          (List.fold_left
-             (fun acc f ->
-               acc + List.length (Exec.Sweep.points f.Exec.Figures.axes))
-             0 figures);
-        register_cache_pulls progress cache;
-        let snapshot () = Serve.Progress.to_snapshot progress in
-        let monitor =
-          if serving then Some (Serve.Progress.pool_monitor progress)
-          else None
-        in
-        let prof = start_runtime_profile profile_runtime in
-        register_runtime_pulls progress prof;
-        with_exporter ~health:(cache_health cache)
-          ?runtime:(runtime_scrape prof) ~serve ~serve_socket ~snapshot
-          (fun () ->
-            Serve.Progress.start progress;
-            let written =
-              Exec.Figures.write ?solver ~cache ~jobs ?chunk ?monitor
-                ?journal ?retry:robust.retry ?deadline:robust.deadline
-                ~chaos:robust.chaos ~dir:out figures
-            in
-            List.iter
-              (fun w ->
-                Format.printf "wrote %s (%d rows)@." w.Exec.Figures.path
-                  w.Exec.Figures.rows)
-              written;
-            Format.printf "cache: %a@." Exec.Cache.pp_stats
-              (Exec.Cache.stats cache);
-            Serve.Progress.finish progress;
-            Option.iter
-              (fun file -> write_metrics_snapshot (snapshot ()) file)
-              metrics_out);
-        ignore (finish_runtime_profile prof);
+      let dir =
+        if no_cache then None
+        else
+          Some (Option.value cache_dir ~default:(Filename.concat out "cache"))
+      in
+      let cache = Exec.Cache.create ?dir () in
+      let meta = Exec.Figures.journal_meta ?solver figures in
+      (* The journal is always on for figures — the batch is long enough
+         that crash-safety should not be opt-in. *)
+      let default = Filename.concat out "journal.ltj" in
+      with_journal ?kill_after:faults.kill_after ~resume ~meta
+        (Some (Option.value journal ~default))
+      @@ fun journal ->
+      let report snapshot () =
+        Option.iter
+          (fun file -> write_metrics_snapshot (snapshot ()) file)
+          metrics_out;
         `Ok ()
-    end
+      in
+      fst
+        ( with_run ~phase:"figures" ~total:(figure_points figures) ~cache
+            ~serve ~profile ~report
+        @@ fun _ monitor ->
+          let written =
+            Exec.Figures.write ?solver ~cache ~jobs ?chunk ?monitor ?journal
+              ?retry:faults.retry ?deadline:faults.deadline
+              ~chaos:faults.chaos ~dir:out figures
+          in
+          List.iter
+            (fun w ->
+              Format.printf "wrote %s (%d rows)@." w.Exec.Figures.path
+                w.Exec.Figures.rows)
+            written;
+          Format.printf "cache: %a@." Exec.Cache.pp_stats
+            (Exec.Cache.stats cache) )
   in
   Cmd.v
     (Cmd.info "figures"
@@ -1134,21 +1167,18 @@ let figures_cmd =
     Term.(
       ret
         (const run $ params_term $ solver_term $ out_arg
-       $ jobs_arg
+       $ jobs_term
            "Worker domains per figure sweep (capped at the machine's core \
             count).  The CSVs are byte-identical for every value."
-       $ chunk_arg
+       $ chunk_term
        $ cache_arg "Cache directory (default $(docv) = OUT/cache)."
-       $ no_cache_arg $ only_arg $ metrics_out_arg $ serve_arg
-       $ serve_socket_arg
+       $ no_cache_arg $ only_arg $ metrics_out_arg $ serve_term
        $ journal_arg
            "Checkpoint journal (default OUT/journal.ltj — always on): \
             solved grid points are committed with one fsync per pool \
             chunk (one per point at $(b,--jobs) 1), so a killed batch \
             loses at most one chunk and can $(b,--resume)."
-       $ resume_arg $ retries_arg $ task_deadline_arg $ chaos_fail_rate_arg
-       $ chaos_fail_attempts_arg $ chaos_delay_arg $ chaos_seed_arg
-       $ chaos_kill_after_arg $ profile_runtime_arg))
+       $ resume_arg $ faults_term $ profile_runtime_arg))
 
 (* ------------------------------------------------------------------ *)
 (* trace: causal-trace a figure grid and explain where the time went *)
@@ -1190,69 +1220,44 @@ let trace_cmd =
              $(docv) in Chrome trace-event JSON.")
   in
   let run () solver figure jobs chunk cache_dir slowest json_out chrome_out
-      serve serve_socket =
-    if jobs < 1 then `Error (false, "--jobs must be at least 1")
-    else if slowest < 0 then `Error (false, "--slowest must be non-negative")
+      serve =
+    if slowest < 0 then `Error (false, "--slowest must be non-negative")
     else
-      match check_chunk chunk with
-      | Some msg -> `Error (false, msg)
-      | None -> (
-        match Exec.Figures.find figure with
-        | None ->
-          `Error
-            ( false,
-              Printf.sprintf "unknown figure %s (available: %s)" figure
-                (String.concat ", "
-                   (List.map
-                      (fun f -> f.Exec.Figures.name)
-                      (Exec.Figures.all ()))) )
-        | Some fig ->
-          let recorder = Tc.create ~root:("trace-" ^ fig.Exec.Figures.name) () in
-          let cache = Exec.Cache.create ?dir:cache_dir () in
-          let progress = Serve.Progress.create ~phase:"trace" () in
-          Serve.Progress.set_total progress
-            (List.length (Exec.Sweep.points fig.Exec.Figures.axes));
-          register_cache_pulls progress cache;
-          let snapshot () = Serve.Progress.to_snapshot progress in
-          let serving = serve <> None || serve_socket <> None in
-          let monitor =
-            if serving then Some (Serve.Progress.pool_monitor progress)
-            else None
+      match Exec.Figures.find figure with
+      | None -> unknown_figure figure
+      | Some fig ->
+        let recorder = Tc.create ~root:("trace-" ^ fig.Exec.Figures.name) () in
+        let cache = Exec.Cache.create ?dir:cache_dir () in
+        let report _ rows =
+          Tc.seal recorder;
+          let report = Trace_report.analyze recorder in
+          let b = Buffer.create 8192 in
+          Trace_report.pp_table b report;
+          if slowest > 0 && report.Trace_report.r_points <> [] then begin
+            Buffer.add_string b "\nslowest points:\n";
+            Trace_report.pp_digest b ~k:slowest report
+          end;
+          print_string (Buffer.contents b);
+          Format.printf "cache: %a@." Exec.Cache.pp_stats
+            (Exec.Cache.stats cache);
+          let failed =
+            List.length
+              (List.filter (fun r -> Result.is_error r.Exec.Sweep.result) rows)
           in
-          with_exporter ~health:(cache_health cache)
-            ~trace:(trace_probe recorder) ~serve ~serve_socket ~snapshot
-            (fun () ->
-              Serve.Progress.start progress;
-              let rows =
-                Exec.Sweep.run ?solver ~cache ~jobs ?chunk ?monitor
-                  ~causal:(Tc.root_ctx recorder)
-                  ~journal_prefix:(fig.Exec.Figures.name ^ "/")
-                  ~base:fig.Exec.Figures.base fig.Exec.Figures.axes
-              in
-              Serve.Progress.finish progress;
-              Tc.seal recorder;
-              let report = Trace_report.analyze recorder in
-              let b = Buffer.create 8192 in
-              Trace_report.pp_table b report;
-              if slowest > 0 && report.Trace_report.r_points <> [] then begin
-                Buffer.add_string b "\nslowest points:\n";
-                Trace_report.pp_digest b ~k:slowest report
-              end;
-              print_string (Buffer.contents b);
-              Format.printf "cache: %a@." Exec.Cache.pp_stats
-                (Exec.Cache.stats cache);
-              let failed =
-                List.length
-                  (List.filter
-                     (fun r -> Result.is_error r.Exec.Sweep.result)
-                     rows)
-              in
-              if failed > 0 then
-                Format.printf "note: %d grid points failed validation@."
-                  failed;
-              Option.iter (write_causal_report report) json_out;
-              Option.iter (write_causal_chrome recorder) chrome_out);
-          `Ok ())
+          if failed > 0 then
+            Format.printf "note: %d grid points failed validation@." failed;
+          Option.iter (write_causal_report report) json_out;
+          Option.iter (write_causal_chrome recorder) chrome_out;
+          `Ok ()
+        in
+        fst
+          ( with_run ~phase:"trace" ~total:(figure_points [ fig ]) ~cache
+              ~trace:recorder ~serve ~profile:false ~report
+          @@ fun _ monitor ->
+            Exec.Sweep.run ?solver ~cache ~jobs ?chunk ?monitor
+              ~causal:(Tc.root_ctx recorder)
+              ~journal_prefix:(fig.Exec.Figures.name ^ "/")
+              ~base:fig.Exec.Figures.base fig.Exec.Figures.axes )
   in
   Cmd.v
     (Cmd.info "trace"
@@ -1263,40 +1268,52 @@ let trace_cmd =
     Term.(
       ret
         (const run $ verbose_term $ solver_term $ figure_arg
-       $ jobs_arg
+       $ jobs_term
            "Worker domains for the traced sweep.  The trace explains where \
             the time goes at any $(docv); the solved rows are identical \
             for every value."
-       $ chunk_arg
+       $ chunk_term
        $ cache_arg
            "Content-addressed solve cache: trace a warm re-run to see \
             cache-wait spans replace solve spans."
-       $ slowest_arg $ json_arg $ chrome_arg $ serve_arg $ serve_socket_arg))
+       $ slowest_arg $ json_arg $ chrome_arg $ serve_term))
+
+(* ------------------------------------------------------------------ *)
+(* simulator inputs (simulate, profile, prof): one definition per flag,
+   each command with its own defaults *)
+
+let engine_arg doc =
+  Arg.(
+    value
+    & opt (enum [ ("des", `Des); ("stpn", `Stpn) ]) `Des
+    & info [ "engine" ] ~docv:"ENGINE" ~doc)
+
+let engine_name = function `Des -> "des" | `Stpn -> "stpn"
+
+let horizon_arg ?(doc = "Measured simulation time.") default =
+  Arg.(value & opt float default & info [ "horizon" ] ~docv:"T" ~doc)
+
+let warmup_arg ?(doc = "Warm-up time discarded before measuring.") default =
+  Arg.(value & opt float default & info [ "warmup" ] ~docv:"T" ~doc)
+
+let seed_arg =
+  Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
+
+let replications_term default doc =
+  let check n =
+    if n < 1 then `Error (false, "--replications must be at least 1")
+    else `Ok n
+  in
+  Term.(
+    ret
+      (const check
+      $ Arg.(
+          value & opt int default & info [ "replications" ] ~docv:"N" ~doc)))
 
 (* ------------------------------------------------------------------ *)
 (* simulate *)
 
 let simulate_cmd =
-  let engine_arg =
-    Arg.(
-      value
-      & opt (enum [ ("des", `Des); ("stpn", `Stpn) ]) `Des
-      & info [ "engine" ] ~docv:"ENGINE"
-          ~doc:"Simulator: $(b,des) (discrete-event) or $(b,stpn) (Petri net).")
-  in
-  let horizon_arg =
-    Arg.(
-      value & opt float 100_000.
-      & info [ "horizon" ] ~docv:"T" ~doc:"Measured simulation time.")
-  in
-  let warmup_arg =
-    Arg.(
-      value & opt float 1_000.
-      & info [ "warmup" ] ~docv:"T" ~doc:"Warm-up time discarded before measuring.")
-  in
-  let seed_arg =
-    Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
-  in
   let fault_mtbf_arg =
     Arg.(
       value & opt float 0.
@@ -1344,26 +1361,11 @@ let simulate_cmd =
       Lattol_robust.Fault_plan.validate plan
     end
   in
-  let replications_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "replications" ] ~docv:"N"
-          ~doc:
-            "Independent replications, each on its own random stream split \
-             from $(b,--seed); reports across-replication confidence \
-             intervals.  The result set is identical for every $(b,--jobs) \
-             value.")
-  in
   let run_replicated params engine horizon warmup seed faults replications
       jobs chunk monitor journal =
-    Format.printf "%a@." Params.pp params;
-    if Lattol_robust.Fault_plan.active faults then
-      Format.printf "fault plan: %a@." Lattol_robust.Fault_plan.pp faults;
-    Format.printf "@.";
     (* [jobs] must not appear here: the report is byte-identical for every
        degree of parallelism. *)
-    Format.printf "replications: %d (%s)@." replications
-      (match engine with `Des -> "des" | `Stpn -> "stpn");
+    Format.printf "replications: %d (%s)@." replications (engine_name engine);
     (* The report only ever reads each replication's measures, so the
        fan-out runs at measures level — the granularity the checkpoint
        journal records. *)
@@ -1390,18 +1392,13 @@ let simulate_cmd =
         Format.printf "rep %d: U_p=%.6f lambda=%.6f@." (i + 1) m.Measures.u_p
           m.Measures.lambda)
       s.Exec.Replicate.results;
-    let u_p_ci, lambda_ci =
-      (s.Exec.Replicate.u_p_ci, s.Exec.Replicate.lambda_ci)
+    let ci name =
+      Option.iter (fun (mean, half) ->
+          Format.printf "%s 95%% CI: %.4f +- %.4f across replications@." name
+            mean half)
     in
-    (match u_p_ci with
-    | Some (mean, half) ->
-      Format.printf "U_p 95%% CI: %.4f +- %.4f across replications@." mean half
-    | None -> ());
-    (match lambda_ci with
-    | Some (mean, half) ->
-      Format.printf "lambda 95%% CI: %.4f +- %.4f across replications@." mean
-        half
-    | None -> ())
+    ci "U_p" s.Exec.Replicate.u_p_ci;
+    ci "lambda" s.Exec.Replicate.lambda_ci
   in
   (* Everything that decides a replication's result, digested the same
      way a cache key is: a journal written under different simulation
@@ -1413,208 +1410,175 @@ let simulate_cmd =
                           warmup=%h;reps=%d;faults=%s"
             Exec.Journal.format_version
             (Exec.Cache.canonical params)
-            (match engine with `Des -> "des" | `Stpn -> "stpn")
-            seed horizon warmup replications
+            (engine_name engine) seed horizon warmup replications
             (Format.asprintf "%a" Lattol_robust.Fault_plan.pp faults)))
   in
-  let run params engine horizon warmup seed mtbf mttr degrade target
-      replications jobs chunk metrics_out trace_out serve serve_socket
-      journal_path resume profile_runtime =
-    let serving = serve <> None || serve_socket <> None in
-    match fault_plan mtbf mttr degrade target with
-    | Error msg -> `Error (false, msg)
-    | Ok faults ->
-      if engine = `Stpn && (metrics_out <> None || trace_out <> None) then
-        `Error (false, "--metrics-out/--trace-out require --engine des")
-      else if replications < 1 then
-        `Error (false, "--replications must be at least 1")
-      else if jobs < 1 then `Error (false, "--jobs must be at least 1")
-      else if (match check_chunk chunk with Some _ -> true | None -> false)
-      then
-        `Error (false, Option.get (check_chunk chunk))
-      else if replications > 1 && (metrics_out <> None || trace_out <> None)
-      then
-        `Error (false, "--metrics-out/--trace-out require --replications 1")
-      else if journal_path <> None && replications = 1 then
-        `Error (false, "--journal requires --replications > 1")
-      else if resume && journal_path = None then
-        `Error (false, "--resume requires --journal")
-      else if serving && engine = `Stpn && replications = 1 then
-        (* The STPN engine has no heartbeat hook; only the replication
-           fan-out is observable live. *)
-        `Error
-          ( false,
-            "--serve/--serve-socket with --engine stpn require \
-             --replications > 1" )
-      else if replications > 1 then begin
-        let meta =
-          simulate_meta params engine horizon warmup seed faults replications
-        in
-        with_journal ~on_record:None ~resume ~meta journal_path
-        @@ fun journal ->
-        let progress = Serve.Progress.create ~phase:"replications" () in
-        Serve.Progress.set_total progress replications;
-        let snapshot () = Serve.Progress.to_snapshot progress in
-        let monitor =
-          if serving then Some (Serve.Progress.pool_monitor progress)
+  let no_report _ () = `Ok () in
+  let run_des params horizon warmup seed faults metrics_out trace_out serve
+      profile =
+    let serving = serve <> None in
+    let trace = Option.map (fun _ -> Lattol_obs.Events.create ()) trace_out in
+    let metrics =
+      if metrics_out <> None || serving then Some (Lattol_obs.Metrics.create ())
+      else None
+    in
+    (match (trace, trace_out) with
+    | Some tr, Some file ->
+      flush_on_exit file (fun () -> write_span_trace tr file)
+    | _ -> ());
+    (match (metrics, metrics_out) with
+    | Some reg, Some file ->
+      flush_on_exit file (fun () -> write_metrics reg file)
+    | _ -> ());
+    let report snapshot () =
+      (match (metrics, metrics_out) with
+      | Some reg, Some file ->
+        Format.printf "metrics: %d series -> %s@."
+          (write_run_metrics ~serving ~snapshot reg file)
+          file
+      | _ -> ());
+      `Ok ()
+    in
+    fst
+      ( with_run ~phase:"des"
+          ~total:Lattol_sim.Mms_des.default_config.Lattol_sim.Mms_des.batches
+          ?series:
+            (Option.map (fun reg () -> Lattol_obs.Metrics.snapshot reg)
+               metrics)
+          ~serve ~profile ~report
+      @@ fun progress _ ->
+        (* Event-rate estimation straddles batches: remember the last
+           batch boundary's cumulative count and wall-clock stamp. *)
+        let last = ref (0, 0.) in
+        let on_batch =
+          if serving then
+            Some
+              (fun ~events ~time ->
+                Serve.Progress.step progress;
+                let e0, t0 = !last in
+                let now = Unix.gettimeofday () in
+                if t0 > 0. && now > t0 then
+                  Serve.Progress.set_gauge progress "des_event_rate"
+                    (float_of_int (events - e0) /. (now -. t0));
+                last := (events, now);
+                Serve.Progress.set_gauge progress "des_virtual_time" time;
+                Serve.Progress.set_gauge progress "des_events_total"
+                  (float_of_int events))
           else None
         in
-        let prof = start_runtime_profile profile_runtime in
-        register_runtime_pulls progress prof;
-        with_exporter ?runtime:(runtime_scrape prof) ~serve ~serve_socket
-          ~snapshot (fun () ->
-            Serve.Progress.start progress;
-            run_replicated params engine horizon warmup seed faults
-              replications jobs chunk monitor journal;
-            Serve.Progress.finish progress);
-        ignore (finish_runtime_profile prof);
-        `Ok ()
-      end
-      else begin
-        Format.printf "%a@." Params.pp params;
+        let r =
+          profiled_section (fun () ->
+              Lattol_sim.Mms_des.run
+                ~config:
+                  {
+                    Lattol_sim.Mms_des.default_config with
+                    Lattol_sim.Mms_des.horizon;
+                    warmup;
+                    seed;
+                    faults;
+                    trace;
+                    metrics;
+                    on_batch;
+                  }
+                params)
+        in
+        Format.printf "%a@." Measures.pp r.Lattol_sim.Mms_des.measures;
+        let mean, half = r.Lattol_sim.Mms_des.u_p_ci in
+        Format.printf "U_p 95%% CI: %.4f +- %.4f (%d events, %d remote trips)@."
+          mean half r.Lattol_sim.Mms_des.events
+          r.Lattol_sim.Mms_des.remote_trips;
+        List.iter
+          (Format.printf "%a@." Lattol_sim.Mms_des.pp_fault_stats)
+          r.Lattol_sim.Mms_des.faults;
+        match (trace, trace_out) with
+        | Some tr, Some file ->
+          write_span_trace tr file;
+          flushed file;
+          Format.printf "trace: %d spans -> %s%s@."
+            (Lattol_obs.Events.count tr) file
+            (if Lattol_obs.Events.dropped tr = 0 then ""
+             else
+               Printf.sprintf " (%d dropped)" (Lattol_obs.Events.dropped tr))
+        | _ -> () )
+  in
+  let run_stpn params horizon warmup seed faults profile =
+    fst
+      ( with_run ~phase:"stpn" ~total:1 ~serve:None ~profile ~report:no_report
+      @@ fun _ _ ->
+        let r =
+          profiled_section (fun () ->
+              Lattol_petri.Mms_stpn.run ~seed ~warmup ~horizon ~faults params)
+        in
+        Format.printf "%a@." Measures.pp r.Lattol_petri.Mms_stpn.measures;
+        let layout = r.Lattol_petri.Mms_stpn.layout in
         if Lattol_robust.Fault_plan.active faults then
-          Format.printf "fault plan: %a@." Lattol_robust.Fault_plan.pp faults;
-        Format.printf "@.";
-        let prof = start_runtime_profile profile_runtime in
-        (match engine with
+          Format.printf
+            "fault plan applied quasi-statically: S=%g L=%g after degradation@."
+            layout.Lattol_petri.Mms_stpn.params.Params.s_switch
+            layout.Lattol_petri.Mms_stpn.params.Params.l_mem;
+        Format.printf "%a, %d firings@." Lattol_petri.Petri.pp
+          layout.Lattol_petri.Mms_stpn.net
+          r.Lattol_petri.Mms_stpn.stats.Lattol_petri.Simulation.events )
+  in
+  let run params engine horizon warmup seed faults replications jobs chunk
+      metrics_out trace_out serve journal resume profile =
+    if engine = `Stpn && (metrics_out <> None || trace_out <> None) then
+      `Error (false, "--metrics-out/--trace-out require --engine des")
+    else if replications > 1 && (metrics_out <> None || trace_out <> None)
+    then `Error (false, "--metrics-out/--trace-out require --replications 1")
+    else if journal <> None && replications = 1 then
+      `Error (false, "--journal requires --replications > 1")
+    else if serve <> None && engine = `Stpn && replications = 1 then
+      (* The STPN engine has no heartbeat hook; only the replication
+         fan-out is observable live. *)
+      `Error
+        ( false,
+          "--serve/--serve-socket with --engine stpn require \
+           --replications > 1" )
+    else
+      let meta =
+        simulate_meta params engine horizon warmup seed faults replications
+      in
+      with_journal ~resume ~meta journal @@ fun journal ->
+      Format.printf "%a@." Params.pp params;
+      if Lattol_robust.Fault_plan.active faults then
+        Format.printf "fault plan: %a@." Lattol_robust.Fault_plan.pp faults;
+      Format.printf "@.";
+      if replications > 1 then
+        fst
+          ( with_run ~phase:"replications" ~total:replications ~serve ~profile
+              ~report:no_report
+          @@ fun _ monitor ->
+            run_replicated params engine horizon warmup seed faults
+              replications jobs chunk monitor journal )
+      else
+        match engine with
         | `Des ->
-          let trace =
-            Option.map (fun _ -> Lattol_obs.Events.create ()) trace_out
-          in
-          let metrics =
-            if metrics_out <> None || serving then
-              Some (Lattol_obs.Metrics.create ())
-            else None
-          in
-          let progress = Serve.Progress.create ~phase:"des" () in
-          Serve.Progress.set_total progress
-            Lattol_sim.Mms_des.default_config.Lattol_sim.Mms_des.batches;
-          let snapshot () =
-            Serve.Progress.to_snapshot progress
-            @
-            match metrics with
-            | Some reg -> Lattol_obs.Metrics.snapshot reg
-            | None -> []
-          in
-          (* Event-rate estimation straddles batches: remember the last
-             batch boundary's cumulative count and wall-clock stamp. *)
-          let last = ref (0, 0.) in
-          let on_batch =
-            if serving then
-              Some
-                (fun ~events ~time ->
-                  Serve.Progress.step progress;
-                  let e0, t0 = !last in
-                  let now = Unix.gettimeofday () in
-                  if t0 > 0. && now > t0 then
-                    Serve.Progress.set_gauge progress "des_event_rate"
-                      (float_of_int (events - e0) /. (now -. t0));
-                  last := (events, now);
-                  Serve.Progress.set_gauge progress "des_virtual_time" time;
-                  Serve.Progress.set_gauge progress "des_events_total"
-                    (float_of_int events))
-            else None
-          in
-          (match (trace, trace_out) with
-          | Some tr, Some file ->
-            flush_on_exit file (fun () -> write_span_trace tr file)
-          | _ -> ());
-          (match (metrics, metrics_out) with
-          | Some reg, Some file ->
-            flush_on_exit file (fun () -> write_metrics reg file)
-          | _ -> ());
-          register_runtime_pulls progress prof;
-          with_exporter ?runtime:(runtime_scrape prof) ~serve ~serve_socket
-            ~snapshot (fun () ->
-              Serve.Progress.start progress;
-              let r =
-                profiled_section (fun () ->
-                    Lattol_sim.Mms_des.run
-                      ~config:
-                        {
-                          Lattol_sim.Mms_des.default_config with
-                          Lattol_sim.Mms_des.horizon;
-                          warmup;
-                          seed;
-                          faults;
-                          trace;
-                          metrics;
-                          on_batch;
-                        }
-                      params)
-              in
-              Format.printf "%a@." Measures.pp r.Lattol_sim.Mms_des.measures;
-              let mean, half = r.Lattol_sim.Mms_des.u_p_ci in
-              Format.printf
-                "U_p 95%% CI: %.4f +- %.4f (%d events, %d remote trips)@."
-                mean half r.Lattol_sim.Mms_des.events
-                r.Lattol_sim.Mms_des.remote_trips;
-              List.iter
-                (Format.printf "%a@." Lattol_sim.Mms_des.pp_fault_stats)
-                r.Lattol_sim.Mms_des.faults;
-              (match (trace, trace_out) with
-              | Some tr, Some file ->
-                write_span_trace tr file;
-                flushed file;
-                Format.printf "trace: %d spans -> %s%s@."
-                  (Lattol_obs.Events.count tr) file
-                  (if Lattol_obs.Events.dropped tr = 0 then ""
-                   else
-                     Printf.sprintf " (%d dropped)"
-                       (Lattol_obs.Events.dropped tr))
-              | _ -> ());
-              Serve.Progress.finish progress;
-              match (metrics, metrics_out) with
-              | Some reg, Some file ->
-                if serving then begin
-                  (* The file is the final scrape: identical bytes to what
-                     /metrics.json returns from here on. *)
-                  let snap = snapshot () in
-                  write_metrics_snapshot snap file;
-                  Format.printf "metrics: %d series -> %s@."
-                    (List.length snap) file
-                end
-                else begin
-                  write_metrics reg file;
-                  Format.printf "metrics: %d series -> %s@."
-                    (Lattol_obs.Metrics.size reg) file
-                end;
-                flushed file
-              | _ -> ())
-        | `Stpn ->
-          let r =
-            profiled_section (fun () ->
-                Lattol_petri.Mms_stpn.run ~seed ~warmup ~horizon ~faults
-                  params)
-          in
-          Format.printf "%a@." Measures.pp r.Lattol_petri.Mms_stpn.measures;
-          if Lattol_robust.Fault_plan.active faults then
-            Format.printf
-              "fault plan applied quasi-statically: S=%g L=%g after degradation@."
-              r.Lattol_petri.Mms_stpn.layout.Lattol_petri.Mms_stpn.params
-                .Params.s_switch
-              r.Lattol_petri.Mms_stpn.layout.Lattol_petri.Mms_stpn.params
-                .Params.l_mem;
-          Format.printf "%a, %d firings@." Lattol_petri.Petri.pp
-            r.Lattol_petri.Mms_stpn.layout.Lattol_petri.Mms_stpn.net
-            r.Lattol_petri.Mms_stpn.stats.Lattol_petri.Simulation.events);
-        ignore (finish_runtime_profile prof);
-        `Ok ()
-      end
+          run_des params horizon warmup seed faults metrics_out trace_out
+            serve profile
+        | `Stpn -> run_stpn params horizon warmup seed faults profile
   in
   Cmd.v
     (Cmd.info "simulate" ~doc:"Simulate the machine (DES or STPN)")
     Term.(
       ret
-        (const run $ params_term $ engine_arg $ horizon_arg $ warmup_arg
-       $ seed_arg $ fault_mtbf_arg $ fault_mttr_arg $ fault_degrade_arg
-       $ fault_target_arg $ replications_arg
-       $ jobs_arg
+        (const run $ params_term
+       $ engine_arg
+           "Simulator: $(b,des) (discrete-event) or $(b,stpn) (Petri net)."
+       $ horizon_arg 100_000. $ warmup_arg 1_000. $ seed_arg
+       $ term_result'
+           (const fault_plan $ fault_mtbf_arg $ fault_mttr_arg
+          $ fault_degrade_arg $ fault_target_arg)
+       $ replications_term 1
+           "Independent replications, each on its own random stream split \
+            from $(b,--seed); reports across-replication confidence \
+            intervals.  The result set is identical for every $(b,--jobs) \
+            value."
+       $ jobs_term
            "Worker domains for the replication fan-out (with \
             $(b,--replications)); capped at the machine's core count."
-       $ chunk_arg
-       $ metrics_out_arg $ trace_out_arg span_trace_doc $ serve_arg
-       $ serve_socket_arg
+       $ chunk_term
+       $ metrics_out_arg $ trace_out_arg span_trace_doc $ serve_term
        $ journal_arg
            "Checkpoint journal for the replication fan-out (requires \
             $(b,--replications) > 1): replications' measures are \
@@ -1790,19 +1754,6 @@ let bench_cmd =
 (* profile *)
 
 let profile_cmd =
-  let horizon_arg =
-    Arg.(
-      value & opt float 10_000.
-      & info [ "horizon" ] ~docv:"T" ~doc:"Measured simulation time.")
-  in
-  let warmup_arg =
-    Arg.(
-      value & opt float 1_000.
-      & info [ "warmup" ] ~docv:"T" ~doc:"Warm-up time discarded before measuring.")
-  in
-  let seed_arg =
-    Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
-  in
   let run () params solver horizon warmup seed metrics_out trace_out =
     (* The cross-check defaults to the Linearizer so the empirical-vs-model
        gap reflects simulation noise, not Bard-Schweitzer approximation
@@ -1872,8 +1823,9 @@ let profile_cmd =
          "Empirical latency breakdown from the DES, cross-checked against \
           the analytical model and tolerance prediction")
     Term.(
-      const run $ verbose_term $ params_term $ solver_term $ horizon_arg
-      $ warmup_arg $ seed_arg $ metrics_out_arg $ trace_out_arg span_trace_doc)
+      const run $ verbose_term $ params_term $ solver_term
+      $ horizon_arg 10_000. $ warmup_arg 1_000. $ seed_arg $ metrics_out_arg
+      $ trace_out_arg span_trace_doc)
 
 (* ------------------------------------------------------------------ *)
 (* prof: run a workload under the runtime profiler *)
@@ -1896,33 +1848,6 @@ let prof_cmd =
              $(b,sweep) (a p_remote solver sweep) or $(b,figures) (the \
              full figure batch, written to a temporary directory).")
   in
-  let engine_arg =
-    Arg.(
-      value
-      & opt (enum [ ("des", `Des); ("stpn", `Stpn) ]) `Des
-      & info [ "engine" ] ~docv:"ENGINE"
-          ~doc:"Simulator for $(b,--workload replicate).")
-  in
-  let replications_arg =
-    Arg.(
-      value & opt int 4
-      & info [ "replications" ] ~docv:"N"
-          ~doc:"Replications for $(b,--workload replicate).")
-  in
-  let horizon_arg =
-    Arg.(
-      value & opt float 5_000.
-      & info [ "horizon" ] ~docv:"T"
-          ~doc:"Measured simulation time per replication.")
-  in
-  let warmup_arg =
-    Arg.(
-      value & opt float 500.
-      & info [ "warmup" ] ~docv:"T" ~doc:"Warm-up time per replication.")
-  in
-  let seed_arg =
-    Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
-  in
   let steps_arg =
     Arg.(
       value & opt int 24
@@ -1934,96 +1859,83 @@ let prof_cmd =
      with pool task spans) to $(docv) in Chrome trace-event JSON."
   in
   let run () params solver workload engine replications horizon warmup seed
-      steps jobs metrics_out trace_out serve serve_socket =
-    if jobs < 1 then `Error (false, "--jobs must be at least 1")
-    else if replications < 1 then
-      `Error (false, "--replications must be at least 1")
-    else if steps < 2 then `Error (false, "--steps must be at least 2")
+      steps jobs metrics_out trace_out serve =
+    if steps < 2 then `Error (false, "--steps must be at least 2")
     else begin
-      let progress = Serve.Progress.create ~phase:"prof" () in
-      let session = Rp.start () in
-      let prof_session = Some session in
-      register_runtime_pulls progress prof_session;
-      let snapshot () = Serve.Progress.to_snapshot progress in
-      let monitor = Some (Serve.Progress.pool_monitor progress) in
-      with_exporter
-        ?runtime:(runtime_scrape prof_session)
-        ~serve ~serve_socket ~snapshot
-        (fun () ->
-          Serve.Progress.start progress;
-          (match workload with
-          | `Replicate ->
-            Format.printf "profiling replicate (%s): %d replications, jobs %d@."
-              (match engine with `Des -> "des" | `Stpn -> "stpn")
-              replications jobs;
-            Serve.Progress.set_total progress replications;
-            (match engine with
-            | `Des ->
-              let config =
-                {
-                  Lattol_sim.Mms_des.default_config with
-                  Lattol_sim.Mms_des.horizon;
-                  warmup;
-                  seed;
-                }
-              in
-              ignore
-                (Exec.Replicate.des_measures ~jobs ?monitor ~config
-                   ~replications params)
-            | `Stpn ->
-              ignore
-                (Exec.Replicate.stpn_measures ~jobs ?monitor ~seed ~warmup
-                   ~horizon ~replications params))
-          | `Sweep ->
-            Format.printf "profiling sweep (p_remote x %d): jobs %d@." steps
-              jobs;
-            Serve.Progress.set_total progress steps;
-            let axes =
-              [
-                {
-                  Exec.Sweep.param = Exec.Sweep.P_remote;
-                  values = Exec.Sweep.linspace ~lo:0. ~hi:0.9 ~steps;
-                };
-              ]
+      let figures = Exec.Figures.all ~base:params () in
+      let total =
+        match workload with
+        | `Replicate -> replications
+        | `Sweep -> steps
+        | `Figures -> figure_points figures
+      in
+      let (), profile =
+        with_run ~phase:"prof" ~total ~table:Format.std_formatter ~serve
+          ~profile:true
+          ~report:(fun _ () -> ())
+        @@ fun _ monitor ->
+        match workload with
+        | `Replicate -> (
+          Format.printf "profiling replicate (%s): %d replications, jobs %d@."
+            (engine_name engine) replications jobs;
+          match engine with
+          | `Des ->
+            let config =
+              {
+                Lattol_sim.Mms_des.default_config with
+                Lattol_sim.Mms_des.horizon;
+                warmup;
+                seed;
+              }
             in
-            let cache = Exec.Cache.create () in
             ignore
-              (Exec.Sweep.run ?solver ~cache ~jobs ?monitor ~base:params axes)
-          | `Figures ->
-            Format.printf "profiling figures: jobs %d@." jobs;
-            let out = Filename.temp_dir "mms_prof" "figures" in
-            let figures = Exec.Figures.all ~base:params () in
-            Serve.Progress.set_total progress
-              (List.fold_left
-                 (fun acc f ->
-                   acc + List.length (Exec.Sweep.points f.Exec.Figures.axes))
-                 0 figures);
-            let cache = Exec.Cache.create () in
+              (Exec.Replicate.des_measures ~jobs ?monitor ~config ~replications
+                 params)
+          | `Stpn ->
             ignore
-              (Exec.Figures.write ?solver ~cache ~jobs ?monitor ~dir:out
-                 figures));
-          Serve.Progress.finish progress);
-      match finish_runtime_profile ~ppf:Format.std_formatter prof_session with
-      | None -> `Ok ()
-      | Some p ->
-        (match trace_out with
-        | Some file ->
-          let ev = Rp.to_events p in
-          write_span_trace ev file;
-          Format.printf "trace: %d spans -> %s%s@." (Lattol_obs.Events.count ev)
-            file
-            (if p.Rp.dropped_spans = 0 then ""
-             else Printf.sprintf " (%d dropped)" p.Rp.dropped_spans)
-        | None -> ());
-        (match metrics_out with
-        | Some file ->
-          let reg = Lattol_obs.Metrics.create () in
-          Rp.register_metrics p reg;
-          write_metrics reg file;
-          Format.printf "metrics: %d series -> %s@."
-            (Lattol_obs.Metrics.size reg) file
-        | None -> ());
-        `Ok ()
+              (Exec.Replicate.stpn_measures ~jobs ?monitor ~seed ~warmup
+                 ~horizon ~replications params))
+        | `Sweep ->
+          Format.printf "profiling sweep (p_remote x %d): jobs %d@." steps jobs;
+          let axes =
+            [
+              {
+                Exec.Sweep.param = Exec.Sweep.P_remote;
+                values = Exec.Sweep.linspace ~lo:0. ~hi:0.9 ~steps;
+              };
+            ]
+          in
+          let cache = Exec.Cache.create () in
+          ignore
+            (Exec.Sweep.run ?solver ~cache ~jobs ?monitor ~base:params axes)
+        | `Figures ->
+          Format.printf "profiling figures: jobs %d@." jobs;
+          let out = Filename.temp_dir "mms_prof" "figures" in
+          let cache = Exec.Cache.create () in
+          ignore
+            (Exec.Figures.write ?solver ~cache ~jobs ?monitor ~dir:out figures)
+      in
+      Option.iter
+        (fun p ->
+          Option.iter
+            (fun file ->
+              let ev = Rp.to_events p in
+              write_span_trace ev file;
+              Format.printf "trace: %d spans -> %s%s@."
+                (Lattol_obs.Events.count ev) file
+                (if p.Rp.dropped_spans = 0 then ""
+                 else Printf.sprintf " (%d dropped)" p.Rp.dropped_spans))
+            trace_out;
+          Option.iter
+            (fun file ->
+              let reg = Lattol_obs.Metrics.create () in
+              Rp.register_metrics p reg;
+              write_metrics reg file;
+              Format.printf "metrics: %d series -> %s@."
+                (Lattol_obs.Metrics.size reg) file)
+            metrics_out)
+        profile;
+      `Ok ()
     end
   in
   Cmd.v
@@ -2036,14 +1948,16 @@ let prof_cmd =
     Term.(
       ret
         (const run $ verbose_term $ params_term $ solver_term $ workload_arg
-       $ engine_arg $ replications_arg $ horizon_arg $ warmup_arg $ seed_arg
-       $ steps_arg
-       $ jobs_arg
+       $ engine_arg "Simulator for $(b,--workload replicate)."
+       $ replications_term 4 "Replications for $(b,--workload replicate)."
+       $ horizon_arg ~doc:"Measured simulation time per replication." 5_000.
+       $ warmup_arg ~doc:"Warm-up time per replication." 500.
+       $ seed_arg $ steps_arg
+       $ jobs_term
            "Worker domains for the profiled workload.  Compare $(b,--jobs \
             1) against $(b,--jobs 2) to see where the parallel speedup \
             goes."
-       $ metrics_out_arg $ trace_out_arg prof_trace_doc $ serve_arg
-       $ serve_socket_arg))
+       $ metrics_out_arg $ trace_out_arg prof_trace_doc $ serve_term))
 
 (* ------------------------------------------------------------------ *)
 (* partition *)

@@ -40,6 +40,10 @@ let effective_jobs ?(oversubscribe = false) ~jobs ~items () =
   let jobs = min jobs (max 1 items) in
   if oversubscribe then jobs else min jobs (max 1 (available_cores ()))
 
+(* Observation hooks, fired from the domain they describe.  Besides
+   causal tracing below, this is the pool's only instrumentation: live
+   progress and the runtime profiler both watch through a monitor, and
+   with none attached the pool calls nothing. *)
 type monitor = {
   on_start : jobs:int -> items:int -> unit;
   on_worker : worker:int -> busy:bool -> unit;
@@ -47,13 +51,6 @@ type monitor = {
   on_item : unit -> unit;
   on_task : worker:int -> busy:bool -> unit;
 }
-
-(* Runtime-events instrumentation: every worker writes task/worker span
-   marks and queue depth into its own domain's ring buffer.  These are
-   no-ops unless a profiling session (Lattol_obs.Runtime_profile) has
-   started ring collection, so the pool stays clock-free and
-   byte-identical when not being profiled. *)
-module Rp = Lattol_obs.Runtime_profile
 
 (* Causal tracing: when the caller supplies [trace] (a per-item context
    lookup), each task records its queue wait — submission to first
@@ -157,9 +154,7 @@ let map_local ?chunk ?oversubscribe ?monitor ?retry ?deadline ?on_poison
   let poison_of l = Option.map (fun g -> g l) on_poison in
   let run_traced w m l poison i x =
     (match m with Some m -> m.on_task ~worker:w ~busy:true | None -> ());
-    Rp.task_begin ();
     let fin () =
-      Rp.task_end ();
       match m with Some m -> m.on_task ~worker:w ~busy:false | None -> ()
     in
     match run l poison i x with
@@ -171,34 +166,31 @@ let map_local ?chunk ?oversubscribe ?monitor ?retry ?deadline ?on_poison
       raise e
   in
   if n <= 1 || jobs = 1 then begin
-    Rp.worker_begin ();
-    Fun.protect ~finally:Rp.worker_end (fun () ->
-        let l = local 0 in
-        let poison = poison_of l in
-        (match monitor with
-        | Some m ->
-          m.on_start ~jobs:1 ~items:n;
-          m.on_worker ~worker:0 ~busy:true
-        | None -> ());
-        (* Serial: every item is its own chunk, so worker-side batching
-           (a checkpoint append) lands item by item. *)
-        let results =
-          Array.mapi
-            (fun i x ->
-              (match monitor with
-              | Some m -> m.on_claim ~remaining:(n - i - 1)
-              | None -> ());
-              Rp.queue_depth (n - i - 1);
-              let y = run_traced 0 monitor l poison i x in
-              flush l;
-              (match monitor with Some m -> m.on_item () | None -> ());
-              y)
-            items
-        in
-        (match monitor with
-        | Some m -> m.on_worker ~worker:0 ~busy:false
-        | None -> ());
-        (results, [ l ]))
+    let l = local 0 in
+    let poison = poison_of l in
+    (match monitor with
+    | Some m ->
+      m.on_start ~jobs:1 ~items:n;
+      m.on_worker ~worker:0 ~busy:true
+    | None -> ());
+    (* Serial: every item is its own chunk, so worker-side batching (a
+       checkpoint append) lands item by item. *)
+    let results =
+      Array.mapi
+        (fun i x ->
+          (match monitor with
+          | Some m -> m.on_claim ~remaining:(n - i - 1)
+          | None -> ());
+          let y = run_traced 0 monitor l poison i x in
+          flush l;
+          (match monitor with Some m -> m.on_item () | None -> ());
+          y)
+        items
+    in
+    (match monitor with
+    | Some m -> m.on_worker ~worker:0 ~busy:false
+    | None -> ());
+    (results, [ l ])
   end
   else begin
     let results = Array.make n None in
@@ -209,7 +201,6 @@ let map_local ?chunk ?oversubscribe ?monitor ?retry ?deadline ?on_poison
        loop, so per-iteration allocation here is multiplied by the whole
        workload. *)
     let[@lattol.hot] worker w =
-      Rp.worker_begin ();
       (* The local is created in the worker's own domain, so its state
          lives in that domain's minor heap. *)
       let l = local w in
@@ -240,7 +231,6 @@ let map_local ?chunk ?oversubscribe ?monitor ?retry ?deadline ?on_poison
           (match monitor with
           | Some m -> m.on_claim ~remaining
           | None -> ());
-          Rp.queue_depth remaining;
           (try
              for i = lo to hi - 1 do
                results.(i) <- Some (run_traced w monitor l poison i items.(i));
@@ -256,10 +246,9 @@ let map_local ?chunk ?oversubscribe ?monitor ?retry ?deadline ?on_poison
         end
       in
       loop ();
-      (match monitor with
+      match monitor with
       | Some m -> m.on_worker ~worker:w ~busy:false
-      | None -> ());
-      Rp.worker_end ()
+      | None -> ()
     in
     let domains =
       List.init (jobs - 1) (fun i -> Domain.spawn (fun () -> worker (i + 1)))

@@ -56,10 +56,15 @@ type monitor = {
           busy/idle time accumulates (idle = in the loop, not in a task:
           queue starvation) *)
 }
-(** Observation hooks for live progress reporting.  Callbacks fire
-    concurrently from every pool domain: they must be domain-safe, cheap,
-    and must not raise.  They observe scheduling only — results and their
-    order are unaffected (the byte-identity guarantee stands). *)
+(** Observation hooks: the pool's only instrumentation besides the causal
+    [trace] of {!map_local}.  Live progress reporting
+    ([Lattol_serve.Progress.pool_monitor]) and the runtime profiler (a
+    monitor whose hooks write {!Lattol_obs.Runtime_profile}'s worker and
+    task spans and queue depth) both attach here, alone or combined.
+    Callbacks fire concurrently from every pool domain, each on the
+    domain it describes: they must be domain-safe, cheap, and must not
+    raise.  They observe scheduling only — results and their order are
+    unaffected (the byte-identity guarantee stands). *)
 
 type ctx = {
   attempt : int;  (** 1-based attempt number for this item *)

@@ -69,12 +69,11 @@ let points axes =
    measures, recomputed on restore by [Tolerance.of_measures], so a
    resumed row is bit-identical to a freshly solved one. *)
 
-let reports ~ideal_method ~real ~ideal_net ~ideal_mem =
+let reports ~real ~ideal_net ~ideal_mem =
   {
     measures = real;
     tol_network =
-      Tolerance.of_measures ~ideal_method Tolerance.Network_latency ~real
-        ~ideal:ideal_net;
+      Tolerance.of_measures Tolerance.Network_latency ~real ~ideal:ideal_net;
     tol_memory =
       Tolerance.of_measures Tolerance.Memory_latency ~real ~ideal:ideal_mem;
   }
@@ -88,7 +87,7 @@ let encode_row row =
       (Cache.encode_measures_line s.tol_network.Tolerance.ideal)
       (Cache.encode_measures_line s.tol_memory.Tolerance.ideal)
 
-let decode_row ~ideal_method assigns payload =
+let decode_row assigns payload =
   if String.starts_with ~prefix:"ok " payload then begin
     match
       String.split_on_char '|'
@@ -104,7 +103,7 @@ let decode_row ~ideal_method assigns payload =
         Some
           {
             assigns;
-            result = Ok (reports ~ideal_method ~real ~ideal_net ~ideal_mem);
+            result = Ok (reports ~real ~ideal_net ~ideal_mem);
           }
       | _ -> None)
     | _ -> None
@@ -155,15 +154,14 @@ let phase_hook tctx hook =
         | Some f -> f ~iteration ~residual)
   end
 
-let ideal_method_name = function
-  | Tolerance.Zero_delay -> "zero-delay"
-  | Tolerance.Zero_remote -> "zero-remote"
-
-let journal_meta ?solver ?(ideal_method = Tolerance.Zero_remote) ~base axes =
+(* The hashed string names the network ideal (always zero remote
+   accesses): dropping it would change every meta and orphan every
+   existing journal. *)
+let journal_meta ?solver ~base axes =
   let b = Buffer.create 256 in
-  Printf.bprintf b "sweep/%d;solver=%s;ideal=%s;base=%s;" Journal.format_version
+  Printf.bprintf b "sweep/%d;solver=%s;ideal=zero-remote;base=%s;"
+    Journal.format_version
     (match solver with Some s -> Mms.solver_label s | None -> "default")
-    (ideal_method_name ideal_method)
     (Cache.canonical base);
   List.iter
     (fun a ->
@@ -173,10 +171,9 @@ let journal_meta ?solver ?(ideal_method = Tolerance.Zero_remote) ~base axes =
     axes;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
-let run ?solver ?cache ?(jobs = 1) ?chunk ?oversubscribe
-    ?(ideal_method = Tolerance.Zero_remote) ?trace ?(causal = Tc.disabled)
-    ?on_sweep ?monitor ?journal ?(journal_prefix = "") ?retry ?deadline
-    ?(chaos = Lattol_robust.Chaos.none) ~base axes =
+let run ?solver ?cache ?(jobs = 1) ?chunk ?oversubscribe ?trace
+    ?(causal = Tc.disabled) ?monitor ?journal ?(journal_prefix = "") ?retry
+    ?deadline ?(chaos = Lattol_robust.Chaos.none) ~base axes =
   if jobs < 1 then invalid_arg "Sweep.run: jobs must be at least 1";
   if axes = [] then invalid_arg "Sweep.run: at least one axis";
   List.iter
@@ -189,48 +186,27 @@ let run ?solver ?cache ?(jobs = 1) ?chunk ?oversubscribe
      task, touched by no other domain — and the buffers are absorbed into
      the caller's recorder in point order once the pool has joined, so
      the merged trace is byte-identical at any parallelism.  [hook] is
-     the per-task on_sweep (the caller's, plus deadline polling). *)
+     the per-task on_sweep: deadline polling, when a deadline is set. *)
   let solve_point ?label ?tel ?(tctx = Tc.disabled) ~hook params =
     let resolved =
       match solver with Some s -> s | None -> Mms.default_solver params
     in
-    let hook = phase_hook tctx hook in
-    let compute () =
-      match tel with
-      | Some tel when label <> None && params.Params.n_t > 0 ->
-        Lattol_obs.Solver_trace.start_attempt tel ?label
-          ~budget:Amva.default_options.Amva.max_iterations
-          ~solver:(Mms.solver_label resolved)
-          ~damping:Amva.default_options.Amva.damping ();
-        let h ~iteration ~residual =
-          Lattol_obs.Solver_trace.record tel ~iteration ~residual;
-          match hook with
-          | None -> Amva.Continue
-          | Some f -> f ~iteration ~residual
-        in
-        let m = Mms.solve ~solver:resolved ~on_sweep:h params in
-        Lattol_obs.Solver_trace.finish_attempt tel
-          ~converged:m.Measures.converged ~iterations:m.Measures.iterations;
-        m
-      | _ -> Mms.solve ~solver:resolved ?on_sweep:hook params
-    in
-    let traced =
-      match tel with
-      | Some _ -> label <> None && params.Params.n_t > 0
-      | None -> false
-    in
-    (* A traced real solve bypasses the memo: a cache hit would record no
-       attempt, and whether a point hits depends on scheduling whenever
-       its configuration collides with another point's (e.g. a p_remote=0
-       point vs. a zero-remote ideal).  Re-solving keeps the recording a
-       pure function of the grid — one attempt per valid point, every
-       [jobs].  Untraced solves (ideals, untraced runs) memoize as
-       always. *)
-    if traced then compute ()
-    else
+    let on_sweep = phase_hook tctx hook in
+    match tel with
+    | Some tel when label <> None && params.Params.n_t > 0 ->
+      (* A traced real solve bypasses the memo: a cache hit would record
+         no attempt, and whether a point hits depends on scheduling
+         whenever its configuration collides with another point's (e.g. a
+         p_remote=0 point vs. a zero-remote ideal).  Re-solving keeps the
+         recording a pure function of the grid — one attempt per valid
+         point, every [jobs].  Untraced solves (ideals, untraced runs)
+         memoize as always. *)
+      Lattol_obs.Solver_trace.solve tel ?label ?on_sweep ~solver:resolved
+        params
+    | _ ->
       Cache.find_or_compute ~trace:tctx cache
         ~key:(Cache.key ~solver_id:(Mms.solver_label resolved) params)
-        compute
+        (fun () -> Mms.solve ~solver:resolved ?on_sweep params)
   in
   let contained = retry <> None || deadline <> None in
   let eval ~tel (ctx : Pool.ctx) assigns =
@@ -244,18 +220,16 @@ let run ?solver ?cache ?(jobs = 1) ?chunk ?oversubscribe
     | Ok p ->
       let hook =
         match deadline with
-        | None -> on_sweep
+        | None -> None
         | Some _ ->
           (* Deadline expiry must RAISE out of the solver, not return
              [Abort]: an aborted solve yields a non-converged solution
              that would otherwise land in the cache and the journal. *)
           Some
-            (fun ~iteration ~residual ->
+            (fun ~iteration:_ ~residual:_ ->
               if ctx.Pool.should_stop () then
                 raise Lattol_robust.Retry.Deadline_exceeded;
-              match on_sweep with
-              | None -> Amva.Continue
-              | Some f -> f ~iteration ~residual)
+              Amva.Continue)
       in
       let tctx = ctx.Pool.trace in
       let real =
@@ -265,7 +239,8 @@ let run ?solver ?cache ?(jobs = 1) ?chunk ?oversubscribe
       let ideal_net =
         Tc.with_span ~cat:"solve" ~name:"ideal-net" tctx (fun sctx ->
             solve_point ~tctx:sctx ~hook
-              (Tolerance.ideal_params Tolerance.Network_latency ideal_method p))
+              (Tolerance.ideal_params Tolerance.Network_latency
+                 Tolerance.Zero_remote p))
       in
       let ideal_mem =
         Tc.with_span ~cat:"solve" ~name:"ideal-mem" tctx (fun sctx ->
@@ -273,7 +248,7 @@ let run ?solver ?cache ?(jobs = 1) ?chunk ?oversubscribe
               (Tolerance.ideal_params Tolerance.Memory_latency
                  Tolerance.Zero_delay p))
       in
-      { assigns; result = Ok (reports ~ideal_method ~real ~ideal_net ~ideal_mem) }
+      { assigns; result = Ok (reports ~real ~ideal_net ~ideal_mem) }
   in
   let pts = Array.of_list (points axes) in
   let n = Array.length pts in
@@ -314,7 +289,7 @@ let run ?solver ?cache ?(jobs = 1) ?chunk ?oversubscribe
       ~id:(fun i -> Printf.sprintf "%s%d:%s" journal_prefix i (label pts.(i)))
       ~point:(fun i -> (Printf.sprintf "%s%d" journal_prefix i, label pts.(i)))
       ~encode:encode_row
-      ~decode:(fun i payload -> decode_row ~ideal_method pts.(i) payload)
+      ~decode:(fun i payload -> decode_row pts.(i) payload)
       (fun ctx i ->
         let tel = if trace = None then None else Some traces.(i) in
         eval ~tel ctx pts.(i))

@@ -12,7 +12,6 @@
     byte-for-byte stable under parallelism (see {!Pool}). *)
 
 open Lattol_core
-open Lattol_queueing
 
 type param = P_remote | N_t | Runlength | K | P_sw | L_mem | S_switch
 
@@ -54,17 +53,13 @@ val points : axis list -> (param * float) list list
 (** Row-major cartesian product (first axis slowest), exposed for callers
     that need the grid shape without solving it. *)
 
-val journal_meta :
-  ?solver:Mms.solver ->
-  ?ideal_method:Tolerance.ideal_method ->
-  base:Params.t ->
-  axis list ->
-  string
+val journal_meta : ?solver:Mms.solver -> base:Params.t -> axis list -> string
 (** Digest fingerprinting everything that determines the grid's results:
-    solver, ideal method, canonical base parameters, and every axis value
-    in exact hex floats.  {!run} only replays journal records whose file
-    was opened ({!Journal.resume}) under the same meta, so a journal can
-    never leak rows into a differently-configured run. *)
+    solver, the network ideal (always zero remote accesses), canonical
+    base parameters, and every axis value in exact hex floats.  {!run}
+    only replays journal records whose file was opened
+    ({!Journal.resume}) under the same meta, so a journal can never leak
+    rows into a differently-configured run. *)
 
 val encode_row : row -> string
 (** Journal payload for one row: ["ok <real>|<ideal_net>|<ideal_mem>"]
@@ -72,11 +67,7 @@ val encode_row : row -> string
     are recomputed from them on restore, bit-identically) or
     ["err <escaped message>"] for a validation/poisoned row. *)
 
-val decode_row :
-  ideal_method:Tolerance.ideal_method ->
-  (param * float) list ->
-  string ->
-  row option
+val decode_row : (param * float) list -> string -> row option
 (** Inverse of {!encode_row} for the given grid point; [None] on any
     malformed payload (the point is then simply recomputed). *)
 
@@ -86,10 +77,8 @@ val run :
   ?jobs:int ->
   ?chunk:int ->
   ?oversubscribe:bool ->
-  ?ideal_method:Tolerance.ideal_method ->
   ?trace:Lattol_obs.Solver_trace.t ->
   ?causal:Lattol_obs.Trace_ctx.ctx ->
-  ?on_sweep:(iteration:int -> residual:float -> Amva.progress) ->
   ?monitor:Pool.monitor ->
   ?journal:Journal.t ->
   ?journal_prefix:string ->
@@ -99,13 +88,15 @@ val run :
   base:Params.t ->
   axis list ->
   row list
-(** Solve the grid.  [ideal_method] shapes the network-tolerance ideal
-    (default {!Tolerance.Zero_remote}); the memory ideal is always
-    {!Tolerance.Zero_delay}.  [chunk]/[oversubscribe] tune the pool's
-    scheduling (see {!Pool.map_ctx}) without affecting results.  [trace]
-    records one attempt per valid grid point (labelled with {!label}) at
-    any [jobs]: each point records into a private per-point buffer and the
-    buffers are {!Lattol_obs.Solver_trace.absorb}ed in point order after
+(** Solve the grid: each point's real machine and its two ideals, the
+    network ideal without remote accesses ({!Tolerance.Zero_remote}) and
+    the memory ideal at zero delay ({!Tolerance.Zero_delay}).
+    [chunk]/[oversubscribe] tune the pool's scheduling (see
+    {!Pool.map_ctx}) without affecting results.  [trace] records one
+    attempt per valid grid point (labelled with {!label}, through
+    {!Lattol_obs.Solver_trace.solve}) at any [jobs]: each point records
+    into a private per-point buffer and the buffers are
+    {!Lattol_obs.Solver_trace.absorb}ed in point order after
     the pool joins, so the recording is byte-identical to a sequential
     run's.  Traced real solves bypass the cache memo (a hit would record
     no attempt, and hits depend on scheduling when configurations
@@ -125,10 +116,10 @@ val run :
     no clock; either way the returned rows and every byte of downstream
     output are identical.
 
-    [on_sweep] observes every AMVA iteration of every solve (real
-    and ideal) that actually runs; cache hits invoke neither.  [monitor]
-    observes pool scheduling (one {!Pool.monitor} item per grid point)
-    without affecting results.
+    [monitor] observes pool scheduling (one {!Pool.monitor} item per grid
+    point) without affecting results; it is how live progress and the
+    runtime profiler watch a sweep.  Untraced runs solve only through
+    [cache], so its {!Cache.stats} count every solve a run performs.
 
     [journal] checkpoints every completed row through {!Journal.map}:
     one fsync per pool chunk, one per point at [jobs = 1], so a crash

@@ -1,8 +1,8 @@
 (* Bottleneck attribution over a runtime-event stream.
 
    The fold consumes a flat stream of per-ring begin/end marks — GC
-   pauses from the runtime, task and worker-loop spans from the pool's
-   instrumentation — and splits each domain's wall time into four
+   pauses from the runtime, task and worker-loop spans from the
+   profiler's pool monitor — and splits each domain's wall time into four
    mutually exclusive buckets:
 
      gc       inside a runtime GC/STW pause

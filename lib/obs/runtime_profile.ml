@@ -2,23 +2,25 @@
 
    [Runtime_events] gives every domain a ring into which the runtime
    writes GC phase begin/end marks, allocation counters and lifecycle
-   events.  This module (a) defines the user events the executor emits
-   into those same rings — task and worker-loop spans, queue depth, and
-   the profiling-window marker — so pool activity and GC activity share
-   one clock with no calibration, and (b) runs a sampler domain that
+   events.  This module (a) defines the user events written into those
+   same rings — task and worker-loop spans and queue depth, from the
+   profiler's pool monitor, and the profiling-window marker — so pool
+   activity and GC activity share one clock with no calibration, and
+   (b) runs a sampler domain that
    polls a self-monitoring cursor, feeding everything into the pure
    [Attribution] fold, a bounded trace-span buffer for the Chrome
    timeline, and atomic live counters the exporter can scrape mid-run.
 
    The producer half ([task_begin] & co.) is free when profiling is off:
    [Runtime_events.User.write] is a no-op until the ring collection is
-   started, so the pool can call these unconditionally without breaking
-   determinism or paying for clock reads. *)
+   started, so calling these never breaks determinism or pays for clock
+   reads. *)
 
 module RE = Runtime_events
 
 (* ------------------------------------------------------------------ *)
-(* User events: the producer side, called from lib/exec/pool. *)
+(* User events: the producer side, called from the profiler's pool
+   monitor. *)
 
 type RE.User.tag +=
   | Pool_task

@@ -1,6 +1,6 @@
 (** Live consumer for the OCaml runtime's tracing ring buffers.
 
-    Producer half: user events the executor writes into the per-domain
+    Producer half: user events written into the per-domain
     [Runtime_events] rings — task/worker spans and queue depth — so pool
     activity and GC activity share one clock.  These are no-ops until a
     profiling session (or [OCAML_RUNTIME_EVENTS_START]) starts the ring
@@ -11,7 +11,16 @@
     {!Attribution.report}, a bounded span buffer for the Chrome
     timeline, and atomic live counters scraped via [/runtime.json]. *)
 
-(** {1 Producer: called from the executor} *)
+(** {1 Producer: the profiler's pool monitor and profiled sections}
+
+    The pool itself writes nothing here.  A profiled run attaches a
+    [Lattol_exec.Pool.monitor] whose hooks call these from the pool
+    domain they describe: [on_worker] brackets the worker loop with
+    {!worker_begin}/{!worker_end}, [on_task] each task with
+    {!task_begin}/{!task_end}, and [on_claim] records {!queue_depth}.  A
+    workload that runs outside the pool (a single simulator run) is
+    bracketed as one worker running one task, so its time reads as
+    compute rather than spawn overhead. *)
 
 val task_begin : unit -> unit
 val task_end : unit -> unit

@@ -92,6 +92,24 @@ let record t ~iteration ~residual =
       o.o_count <- o.o_count + 1
     end
 
+(* The default AMVA options are the budget and damping every standalone
+   solve runs under; the attempt header records them. *)
+let solve t ?label ?on_sweep ~solver params =
+  let open Lattol_queueing in
+  start_attempt t ?label ~budget:Amva.default_options.Amva.max_iterations
+    ~solver:(Lattol_core.Mms.solver_label solver)
+    ~damping:Amva.default_options.Amva.damping ();
+  let on_sweep ~iteration ~residual =
+    record t ~iteration ~residual;
+    match on_sweep with
+    | None -> Amva.Continue
+    | Some f -> f ~iteration ~residual
+  in
+  let m = Lattol_core.Mms.solve ~solver ~on_sweep params in
+  finish_attempt t ~converged:m.Lattol_core.Measures.converged
+    ~iterations:m.Lattol_core.Measures.iterations;
+  m
+
 let attempts t =
   let open_ones =
     match t.current with

@@ -43,6 +43,22 @@ val finish_attempt :
   ?reason:string -> t -> converged:bool -> iterations:int -> unit
 (** Close the open attempt with its outcome; a no-op when none is open. *)
 
+val solve :
+  t ->
+  ?label:string ->
+  ?on_sweep:
+    (iteration:int -> residual:float -> Lattol_queueing.Amva.progress) ->
+  solver:Lattol_core.Mms.solver ->
+  Lattol_core.Params.t ->
+  Lattol_core.Measures.t
+(** [Lattol_core.Mms.solve] recorded as one attempt: opened with the
+    solver's label and the default AMVA budget and damping, one sample
+    per sweep, closed with the solve's outcome.  [on_sweep] still sees
+    every sweep and decides whether the solve continues.  The solve is
+    recorded whatever its parameters, so callers leave out the idle
+    machine ([n_t = 0]), which has no fixed point to trace.  The one
+    traced-solve path of [mms solve --trace-out] and of traced sweeps. *)
+
 val num_attempts : t -> int
 
 val sample_capacity : t -> int

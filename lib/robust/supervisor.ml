@@ -50,12 +50,6 @@ let exit_code = function
   | Converged_after_fallback -> 3
   | Failed -> 4
 
-let solver_name = function
-  | Mms.Symmetric_amva -> "symmetric"
-  | Mms.General_amva -> "amva"
-  | Mms.Linearizer_amva -> "linearizer"
-  | Mms.Exact_mva -> "exact"
-
 let reason_string = function
   | Non_finite -> "non-finite residual"
   | Stalled -> "stalled"
@@ -203,7 +197,7 @@ let solve ?solvers ?(dampings = default_dampings) ?(tolerance = 1e-8)
           Slog.debugf ?trace
             ~fields:
               [
-                ("solver", solver_name solver);
+                ("solver", Mms.solver_label solver);
                 ("damping", string_of_float damping);
                 ("budget", string_of_int budget);
               ]
@@ -216,22 +210,43 @@ let solve ?solvers ?(dampings = default_dampings) ?(tolerance = 1e-8)
               ~name:(Printf.sprintf "rung %d" (index + 1))
               causal
           in
-          let finish_rung outcome =
-            Tc.finish
-              ~meta:
-                [
-                  ("solver", solver_name solver);
-                  ("damping", Printf.sprintf "%g" damping);
-                  ("budget", string_of_int budget);
-                  ("outcome", outcome);
-                ]
-              rung_span
-          in
           tel (fun t ->
               Lattol_obs.Solver_trace.start_attempt t
                 ~label:(Printf.sprintf "rung %d" (index + 1))
                 ~budget
-                ~solver:(solver_name solver) ~damping ());
+                ~solver:(Mms.solver_label solver) ~damping ());
+          (* Close the rung in all three recorders, in this order: the
+             causal span (outcome in its meta), the solver-trace attempt
+             and the diagnosis.  No [reason] means accepted. *)
+          let close ?reason ~outcome ~iterations ~residual () =
+            let reason_text = Option.map reason_string reason in
+            Tc.finish
+              ~meta:
+                [
+                  ("solver", Mms.solver_label solver);
+                  ("damping", Printf.sprintf "%g" damping);
+                  ("budget", string_of_int budget);
+                  ( "outcome",
+                    match reason_text with
+                    | Some r -> outcome ^ ": " ^ r
+                    | None -> outcome );
+                ]
+              rung_span;
+            let converged = Option.is_none reason in
+            tel (fun t ->
+                Lattol_obs.Solver_trace.finish_attempt ?reason:reason_text t
+                  ~converged ~iterations);
+            record
+              {
+                solver;
+                damping;
+                iteration_budget = budget;
+                iterations;
+                residual;
+                converged;
+                reason;
+              }
+          in
           let last_residual = ref nan in
           let last_iteration = ref 0 in
           let best_residual = ref infinity in
@@ -272,46 +287,20 @@ let solve ?solvers ?(dampings = default_dampings) ?(tolerance = 1e-8)
           in
           match outcome with
           | Error reason ->
-            finish_rung ("raised: " ^ reason_string reason);
+            close ~reason ~outcome:"raised" ~iterations:0 ~residual:nan ();
             Slog.infof ?trace ~src:log_src "rung %d (%s, damping %g) raised: %s"
-              (index + 1) (solver_name solver) damping (reason_string reason);
-            tel (fun t ->
-                Lattol_obs.Solver_trace.finish_attempt
-                  ~reason:(reason_string reason) t ~converged:false
-                  ~iterations:0);
-            record
-              {
-                solver;
-                damping;
-                iteration_budget = budget;
-                iterations = 0;
-                residual = nan;
-                converged = false;
-                reason = Some reason;
-              };
+              (index + 1) (Mms.solver_label solver) damping
+              (reason_string reason);
             climb (index + 1) rest
           | Ok solution ->
+            let iterations = solution.Solution.iterations in
             let accepted = solution.Solution.converged && solution_finite solution in
             if accepted then begin
-              finish_rung "accepted";
+              close ~outcome:"accepted" ~iterations ~residual:!last_residual ();
               Slog.debugf ?trace
-                ~fields:
-                  [ ("iterations", string_of_int solution.Solution.iterations) ]
+                ~fields:[ ("iterations", string_of_int iterations) ]
                 ~src:log_src "rung %d accepted: %s converged" (index + 1)
-                (solver_name solver);
-              tel (fun t ->
-                  Lattol_obs.Solver_trace.finish_attempt t ~converged:true
-                    ~iterations:solution.Solution.iterations);
-              record
-                {
-                  solver;
-                  damping;
-                  iteration_budget = budget;
-                  iterations = solution.Solution.iterations;
-                  residual = !last_residual;
-                  converged = true;
-                  reason = None;
-                };
+                (Mms.solver_label solver);
               let measures = Mms.measures_of_solution p solution in
               let violations = cross_check ~slack p solution measures in
               List.iter
@@ -340,24 +329,11 @@ let solve ?solvers ?(dampings = default_dampings) ?(tolerance = 1e-8)
                   then Non_finite
                   else Iteration_cap
               in
-              finish_rung ("failed: " ^ reason_string reason);
+              close ~reason ~outcome:"failed" ~iterations
+                ~residual:!last_residual ();
               Slog.infof ?trace ~src:log_src
                 "rung %d (%s, damping %g, budget %d) failed: %s" (index + 1)
-                (solver_name solver) damping budget (reason_string reason);
-              tel (fun t ->
-                  Lattol_obs.Solver_trace.finish_attempt
-                    ~reason:(reason_string reason) t ~converged:false
-                    ~iterations:solution.Solution.iterations);
-              record
-                {
-                  solver;
-                  damping;
-                  iteration_budget = budget;
-                  iterations = solution.Solution.iterations;
-                  residual = !last_residual;
-                  converged = false;
-                  reason = Some reason;
-                };
+                (Mms.solver_label solver) damping budget (reason_string reason);
               climb (index + 1) rest
             end
         end
@@ -371,10 +347,10 @@ let solve ?solvers ?(dampings = default_dampings) ?(tolerance = 1e-8)
 let pp_attempt ppf a =
   if a.converged then
     Format.fprintf ppf "%s damping=%g budget=%d: converged in %d sweeps"
-      (solver_name a.solver) a.damping a.iteration_budget a.iterations
+      (Mms.solver_label a.solver) a.damping a.iteration_budget a.iterations
   else
     Format.fprintf ppf "%s damping=%g budget=%d: failed (%s) after %d sweeps"
-      (solver_name a.solver) a.damping a.iteration_budget
+      (Mms.solver_label a.solver) a.damping a.iteration_budget
       (match a.reason with Some r -> reason_string r | None -> "unknown")
       a.iterations
 

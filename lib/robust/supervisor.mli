@@ -105,8 +105,6 @@ val exit_code : outcome -> int
 (** Process exit code for CLI use: 0 = converged, 3 = converged after
     fallback, 4 = failed. *)
 
-val solver_name : Mms.solver -> string
-
 val pp_attempt : Format.formatter -> attempt -> unit
 val pp_violation : Format.formatter -> violation -> unit
 

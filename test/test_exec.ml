@@ -803,16 +803,9 @@ let test_measures_codec_roundtrip () =
 (* ------------------------------------------------------------------ *)
 (* Sweep: shared solutions instead of redundant solves *)
 
-let count_solves f =
-  (* Every AMVA solve announces itself with an iteration-1 sweep; counting
-     those counts solver invocations without touching solver internals. *)
-  let n = Atomic.make 0 in
-  let on_sweep ~iteration ~residual:_ =
-    if iteration = 1 then Atomic.incr n;
-    Lattol_queueing.Amva.Continue
-  in
-  let r = f on_sweep in
-  (r, Atomic.get n)
+(* Untraced sweeps solve only through the cache, so its [solves] counter
+   counts every solver invocation of a run. *)
+let cache_solves cache = (Cache.stats cache).Cache.solves
 
 let test_sweep_no_redundant_solves () =
   let steps = 5 in
@@ -820,39 +813,30 @@ let test_sweep_no_redundant_solves () =
     [ { Sweep.param = Sweep.P_remote; values = Sweep.linspace ~lo:0.1 ~hi:0.9 ~steps } ]
   in
   let cache = Cache.create () in
-  let rows, solves =
-    count_solves (fun on_sweep ->
-        Sweep.run ~cache ~on_sweep ~base:Params.default axes)
-  in
+  let rows = Sweep.run ~cache ~base:Params.default axes in
   Alcotest.(check int) "rows" steps (List.length rows);
   (* One real solve per point, one zero-delay memory ideal per point, and a
-     single zero-remote network ideal shared by the whole sweep (which
-     converges before its first progress callback, so the observer sees
-     one fewer than the cache).  The pre-engine CLI performed 5 solves per
-     point (real, then real+ideal for each of the two tolerance indices):
-     25 here. *)
-  Alcotest.(check int) "solver invocations" (2 * steps) solves;
-  let s = Cache.stats cache in
-  Alcotest.(check int) "cache agrees" ((2 * steps) + 1) s.Cache.solves;
-  Alcotest.(check int) "shared ideal hits" (steps - 1) s.Cache.memo_hits
+     single zero-remote network ideal shared by the whole sweep.  The
+     pre-engine CLI performed 5 solves per point (real, then real+ideal
+     for each of the two tolerance indices): 25 here. *)
+  Alcotest.(check int) "solver invocations" ((2 * steps) + 1)
+    (cache_solves cache);
+  Alcotest.(check int) "shared ideal hits" (steps - 1)
+    (Cache.stats cache).Cache.memo_hits
 
-let test_sweep_counts_observer_once_per_iteration () =
-  (* The user hook must see every iteration of the solves that do run, and
-     none from cache hits: a second identical run reports zero. *)
+let test_sweep_warm_run_solver_silent () =
+  (* A second identical run is served from the cache: it solves
+     nothing. *)
   let axes =
     [ { Sweep.param = Sweep.N_t; values = [ 2.; 4. ] } ]
   in
   let cache = Cache.create () in
-  let _, first =
-    count_solves (fun on_sweep ->
-        Sweep.run ~cache ~on_sweep ~base:Params.default axes)
-  in
+  ignore (Sweep.run ~cache ~base:Params.default axes);
+  let first = cache_solves cache in
   Alcotest.(check bool) "first run solves" true (first > 0);
-  let _, second =
-    count_solves (fun on_sweep ->
-        Sweep.run ~cache ~on_sweep ~base:Params.default axes)
-  in
-  Alcotest.(check int) "warm run never invokes the solver" 0 second
+  ignore (Sweep.run ~cache ~base:Params.default axes);
+  Alcotest.(check int) "warm run never invokes the solver" first
+    (cache_solves cache)
 
 (* ------------------------------------------------------------------ *)
 (* Byte-identity properties *)
@@ -905,12 +889,15 @@ let test_sweep_resume_equivalence () =
   | Error e -> Alcotest.failf "resume failed: %s" e
   | Ok j2 ->
     Alcotest.(check int) "two checkpoints replayed" 2 (Journal.replayed j2);
-    let resumed, solves =
-      count_solves (fun on_sweep ->
-          Sweep.run ~journal:j2 ~jobs:2 ~on_sweep ~base:Params.default axes)
+    let cache = Cache.create () in
+    let resumed =
+      Sweep.run ~cache ~journal:j2 ~jobs:2 ~base:Params.default axes
     in
+    (* The missing points' real and memory-ideal solves, plus the one
+       network ideal they share. *)
     Alcotest.(check int) "only the missing points re-solved"
-      (2 * (steps - 2)) solves;
+      ((2 * (steps - 2)) + 1)
+      (cache_solves cache);
     Alcotest.(check int) "missing points re-journaled" (steps - 2)
       (Journal.appended j2);
     Journal.close j2;
@@ -1400,7 +1387,7 @@ let () =
           Alcotest.test_case "no redundant solves" `Quick
             test_sweep_no_redundant_solves;
           Alcotest.test_case "warm run solver-silent" `Quick
-            test_sweep_counts_observer_once_per_iteration;
+            test_sweep_warm_run_solver_silent;
           Alcotest.test_case "resume is byte-identical" `Quick
             test_sweep_resume_equivalence;
           Alcotest.test_case "parallel trace is byte-identical" `Quick
