@@ -135,8 +135,10 @@ val map_local :
     item (typically the item's open point span).  A traced map records,
     per item, a ["queue-wait"] span — submission to first execution —
     and, per claimed chunk, a ["chunk-claim"] span hung off the first
-    claimed item.  Without [trace] the pool reads no clock at all, so
-    the untraced path stays byte-identical {e and} cost-identical.
+    claimed item, inside that item's queue-wait
+    ({!Lattol_obs.Trace_report} counts the claim once).  Without [trace]
+    the pool reads no clock at all, so the untraced path stays
+    byte-identical {e and} cost-identical.
 
     Determinism caveat: results must not depend on ['l] contents that
     vary with scheduling — locals are for scratch buffers, batching and

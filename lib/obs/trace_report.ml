@@ -125,17 +125,33 @@ let analyze_point ~trace_id point ss =
     in
     max 0. (ms (Int64.sub s.dur_ns kid_ns))
   in
+  (* Same-category siblings can nest: the pool hangs a chunk's claim
+     span beside its first point's queue-wait, inside the wait's
+     interval.  A span inside a same-category sibling is already counted
+     there (of two equal intervals, the one with the smaller id). *)
+  let counted_in (o : Tc.span) (s : Tc.span) =
+    o.id <> s.id && o.parent = s.parent && String.equal o.cat s.cat
+    && o.t0_ns <= s.t0_ns
+    && Int64.add s.t0_ns s.dur_ns <= Int64.add o.t0_ns o.dur_ns
+    && (o.dur_ns > s.dur_ns || o.id < s.id)
+  in
+  let nested (s : Tc.span) =
+    match Hashtbl.find_opt children s.parent with
+    | Some siblings -> List.exists (fun o -> counted_in o s) siblings
+    | None -> false
+  in
   let queue = ref 0. and cache = ref 0. and solve = ref 0. in
   let journal = ref 0. in
   List.iter
     (fun (s : Tc.span) ->
-      let e = excl s in
-      match s.cat with
-      | "queue" -> queue := !queue +. e
-      | "cache-wait" -> cache := !cache +. e
-      | "solve" -> solve := !solve +. e
-      | "journal" -> journal := !journal +. e
-      | _ -> ())
+      if not (nested s) then
+        let e = excl s in
+        match s.cat with
+        | "queue" -> queue := !queue +. e
+        | "cache-wait" -> cache := !cache +. e
+        | "solve" -> solve := !solve +. e
+        | "journal" -> journal := !journal +. e
+        | _ -> ())
     ss;
   let wall_ms = ms wall_ns in
   let attributed = !queue +. !cache +. !solve +. !journal in

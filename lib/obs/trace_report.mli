@@ -6,8 +6,11 @@
     so the per-point columns always reconcile with the measured point
     wall time: [queue + cache-wait + solve + journal + other = wall]
     exactly in integer nanoseconds, i.e. within 1e-5 ms of the printed
-    (3-decimal) figures.  The verdict is the dominant category; the
-    critical path follows the longest child at every level. *)
+    (3-decimal) figures.  A span whose interval lies inside a sibling of
+    the same category is counted there, not again: the pool's
+    ["chunk-claim"] span sits inside its point's ["queue-wait"].  The
+    verdict is the dominant category; the critical path follows the
+    longest child at every level. *)
 
 type step = { s_name : string; s_cat : string; s_ms : float }
 

@@ -14,7 +14,7 @@ type t = {
   timings : timing array;
   inputs : (place * int) array array;
   outputs : (place * int) array array;
-  on_place : transition array array;
+  consumers : transition array array;
 }
 
 module Builder = struct
@@ -67,16 +67,15 @@ module Builder = struct
   let build b =
     let places = Array.of_list (List.rev b.places) in
     let transitions = Array.of_list (List.rev b.transitions) in
-    let on_place_lists = Array.make (Array.length places) [] in
+    let consumer_lists = Array.make (Array.length places) [] in
     Array.iteri
-      (fun t (_, _, ins, outs) ->
-        let touch (p, _) =
-          match on_place_lists.(p) with
-          | t' :: _ when t' = t -> ()
-          | l -> on_place_lists.(p) <- t :: l
-        in
-        List.iter touch ins;
-        List.iter touch outs)
+      (fun t (_, _, ins, _) ->
+        List.iter
+          (fun (p, _) ->
+            match consumer_lists.(p) with
+            | t' :: _ when t' = t -> ()
+            | l -> consumer_lists.(p) <- t :: l)
+          ins)
       transitions;
     {
       place_names = Array.map fst places;
@@ -85,7 +84,8 @@ module Builder = struct
       timings = Array.map (fun (_, tm, _, _) -> tm) transitions;
       inputs = Array.map (fun (_, _, i, _) -> Array.of_list i) transitions;
       outputs = Array.map (fun (_, _, _, o) -> Array.of_list o) transitions;
-      on_place = Array.map (fun l -> Array.of_list (List.rev l)) on_place_lists;
+      consumers =
+        Array.map (fun l -> Array.of_list (List.rev l)) consumer_lists;
     }
 end
 
@@ -105,15 +105,26 @@ let outputs t tr = t.outputs.(tr)
 
 let initial_marking t = Array.copy t.initial
 
-let transitions_on_place t p = t.on_place.(p)
+let consumers t p = t.consumers.(p)
 
-let enabled t ~marking tr =
-  Array.for_all (fun (p, mult) -> marking.(p) >= mult) t.inputs.(tr)
+(* The simulator tests enabling on every refresh, so both tests are
+   top-level loops: a closure over [marking] would be allocated per call. *)
+let rec marked marking arcs i =
+  i = Array.length arcs
+  ||
+  let p, mult = arcs.(i) in
+  marking.(p) >= mult && marked marking arcs (i + 1)
 
-let enabling_degree t ~marking tr =
-  Array.fold_left
-    (fun acc (p, mult) -> min acc (marking.(p) / mult))
-    max_int t.inputs.(tr)
+let enabled t ~marking tr = marked marking t.inputs.(tr) 0
+
+let rec degree marking arcs i acc =
+  if i = Array.length arcs then acc
+  else
+    let p, mult = arcs.(i) in
+    let d = marking.(p) / mult in
+    degree marking arcs (i + 1) (if d < acc then d else acc)
+
+let enabling_degree t ~marking tr = degree marking t.inputs.(tr) 0 max_int
 
 let fire t ~marking tr =
   if not (enabled t ~marking tr) then

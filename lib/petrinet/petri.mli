@@ -63,9 +63,10 @@ val outputs : t -> transition -> (place * int) array
 
 val initial_marking : t -> int array
 
-val transitions_on_place : t -> place -> transition array
-(** Transitions having the place among their inputs or outputs (used for
-    incremental enabling updates). *)
+val consumers : t -> place -> transition array
+(** Transitions with an input arc from the place, in ascending order and
+    each once: the only transitions whose enabling a change to the
+    place's marking can affect (used for incremental enabling updates). *)
 
 val enabled : t -> marking:int array -> transition -> bool
 

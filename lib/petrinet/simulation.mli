@@ -12,7 +12,29 @@
       resampling approximation otherwise);
     - {e immediate} transitions fire in zero time with priority over timed
       ones; conflicts among simultaneously enabled immediates are resolved
-      at random, proportionally to their weights.
+      at random, proportionally to their weights.  Each pick weighs every
+      enabled immediate once, including one that is still enabled after
+      its own firing.
+
+    A firing refreshes only the transitions that consume a place it
+    changed, each once: the places' consumers, outputs in reverse arc
+    order, then inputs in reverse.  Enabling depends only on input
+    places, so every other transition is already in line with the
+    marking; a timed transition consumes its own inputs, so its firing
+    reschedules it too.  Service delays are drawn, and newly enabled
+    immediates queued, in this refresh order.  On the MMS nets of
+    {!Mms_stpn} a transition whose enabling rises is always reached first
+    through a place it consumes, so the order matches refreshing every
+    transition on a touched place, inputs and outputs alike.  On other
+    nets it can differ when such a transition also produces into a place
+    visited earlier: a seed then draws a different sample path from the
+    same distribution.
+
+    The firing path allocates nothing per event of its own: enabling
+    tests are plain loops, services in progress live in per-transition
+    arrays that double when full, and each transition has one completion
+    callback shared by its services.  What remains per service is the
+    engine's event record and the delay draw.
 
     The stationary estimates this produces (time-averaged markings, firing
     rates, busy fractions) are what the paper reports from its STPN runs. *)

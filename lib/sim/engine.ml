@@ -34,7 +34,9 @@ let now t = t.clock
 
 let precedes a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
 
-let grow t =
+(* Doubling: the heap reallocates log2 (peak pending events) times per
+   run, not per event. *)
+let[@lattol.allow "hot-alloc"] grow t =
   let heap = Array.make (2 * Array.length t.heap) dummy_event in
   Array.blit t.heap 0 heap 0 t.size;
   t.heap <- heap
@@ -91,7 +93,10 @@ let schedule t ~delay action =
   if delay < 0. then invalid_arg "Engine.schedule: negative delay";
   schedule_at t ~time:(t.clock +. delay) action
 
-let schedule_cancellable t ~delay action =
+(* The event record is the handle the caller keeps for [cancel], so each
+   call allocates one; reusing records would need handles that can tell
+   a recycled record from the event they named. *)
+let[@lattol.allow "hot-alloc"] schedule_cancellable t ~delay action =
   if delay < 0. then invalid_arg "Engine.schedule_cancellable: negative delay";
   let ev =
     { time = t.clock +. delay; seq = t.next_seq; action; cancelled = false }

@@ -28,12 +28,11 @@ let float t =
   let bits = Int64.shift_right_logical (bits64 t) 11 in
   Int64.to_float bits *. 0x1.0p-53
 
-let float_pos t =
-  let rec go () =
-    let u = float t in
-    if u > 0. then u else go ()
-  in
-  go ()
+(* Top-level recursion: a local loop closure would be allocated per
+   draw, and the simulators draw once per service. *)
+let rec float_pos t =
+  let u = float t in
+  if u > 0. then u else float_pos t
 
 let int t n =
   if n <= 0 then invalid_arg "Prng.int: bound must be positive";

@@ -36,20 +36,23 @@ let scv d =
   let m = mean d in
   if Float.equal m 0. then 0. else variance d /. (m *. m)
 
-let exponential rng ~mean = -.mean *. log (Prng.float_pos rng)
+(* The mean is bound as [m]: lattol-lint's call graph reads a parameter
+   named [mean] as a call of [mean] above. *)
+let exponential rng ~mean:m = -.m *. log (Prng.float_pos rng)
+
+(* Top-level recursion, here and in [erlang_sum]: a local loop closure
+   would be allocated on every draw. *)
+let rec index_of_draw weights x i acc =
+  if i = Array.length weights - 1 then i
+  else
+    let acc = acc +. weights.(i) in
+    if x < acc then i else index_of_draw weights x (i + 1) acc
 
 let discrete rng weights =
   let total = Array.fold_left ( +. ) 0. weights in
   if total <= 0. then invalid_arg "Variate.discrete: weights must sum > 0";
   let x = Prng.float rng *. total in
-  let n = Array.length weights in
-  let rec go i acc =
-    if i = n - 1 then i
-    else
-      let acc = acc +. weights.(i) in
-      if x < acc then i else go (i + 1) acc
-  in
-  go 0 0.
+  index_of_draw weights x 0 0.
 
 let geometric_trunc rng ~p ~max =
   if p <= 0. || p >= 1. then invalid_arg "Variate.geometric_trunc: p in (0,1)";
@@ -65,17 +68,16 @@ let geometric_trunc rng ~p ~max =
   in
   go 1 0.
 
+let rec erlang_sum rng ~stage_mean i acc =
+  if i = 0 then acc
+  else erlang_sum rng ~stage_mean (i - 1) (acc +. exponential rng ~mean:stage_mean)
+
 let draw d rng =
   match d with
   | Deterministic v -> v
   | Exponential m -> exponential rng ~mean:m
   | Uniform (a, b) -> a +. (Prng.float rng *. (b -. a))
-  | Erlang (k, m) ->
-    let stage_mean = m /. float_of_int k in
-    let rec go i acc =
-      if i = 0 then acc else go (i - 1) (acc +. exponential rng ~mean:stage_mean)
-    in
-    go k 0.
+  | Erlang (k, m) -> erlang_sum rng ~stage_mean:(m /. float_of_int k) k 0.
   | Hyperexp branches ->
     let probs = Array.map fst branches in
     let i = discrete rng probs in

@@ -499,6 +499,31 @@ let test_trace_report_reconciles () =
       "\"run_journal_spans\":1";
     ]
 
+let test_trace_report_nested_claim () =
+  (* The pool's traced path hangs a chunk's claim span off its first
+     point, beside that point's queue-wait and inside the wait's
+     interval: a slow (5 ms) claim must be counted once. *)
+  let r = Trace_ctx.create ~root:"claim" () in
+  let h =
+    Trace_ctx.start ~point:"grid/0" ~cat:"point" ~name:"n_t=1"
+      (Trace_ctx.root_ctx r)
+  in
+  let pctx = Trace_ctx.ctx_of h in
+  Unix.sleepf 0.001;
+  let t0 = Trace_ctx.now_ns () in
+  Unix.sleepf 0.005;
+  Trace_ctx.record_interval ~cat:"queue" ~name:"chunk-claim" ~t0_ns:t0 pctx;
+  Trace_ctx.record_since ~cat:"queue" ~name:"queue-wait" pctx;
+  Trace_ctx.with_span ~cat:"solve" ~name:"solve" pctx (fun _ ->
+      Unix.sleepf 0.001);
+  Trace_ctx.finish h;
+  Trace_ctx.seal r;
+  match (Trace_report.analyze r).Trace_report.r_points with
+  | [ p ] ->
+    close ~eps:0.01 "claim inside the wait reconciles" p.wall_ms
+      (p.queue_ms +. p.cache_ms +. p.solve_ms +. p.journal_ms +. p.other_ms)
+  | ps -> Alcotest.failf "expected 1 point, got %d" (List.length ps)
+
 let test_trace_report_live_probe () =
   (* analyze must not seal: a live probe mid-run sees elapsed-so-far and
      the recorder keeps accepting spans afterwards. *)
@@ -1002,6 +1027,8 @@ let () =
         [
           Alcotest.test_case "attribution reconciles" `Quick
             test_trace_report_reconciles;
+          Alcotest.test_case "nested claim counted once" `Quick
+            test_trace_report_nested_claim;
           Alcotest.test_case "live probe does not seal" `Quick
             test_trace_report_live_probe;
         ] );

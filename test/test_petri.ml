@@ -33,14 +33,17 @@ let two_phase ~m0 ~to1 ~to0 =
 (* Petri structure *)
 
 let test_builder_basic () =
-  let net, p0, p1, t01, _ = two_phase ~m0:1 ~to1:1. ~to0:2. in
+  let net, p0, p1, t01, t10 = two_phase ~m0:1 ~to1:1. ~to0:2. in
   Alcotest.(check int) "places" 2 (Petri.num_places net);
   Alcotest.(check int) "transitions" 2 (Petri.num_transitions net);
   Alcotest.(check string) "place name" "p0" (Petri.place_name net p0);
   Alcotest.(check string) "transition name" "t01" (Petri.transition_name net t01);
   Alcotest.(check (array int)) "initial marking" [| 1; 0 |] (Petri.initial_marking net);
-  Alcotest.(check int) "touching transitions" 2
-    (Array.length (Petri.transitions_on_place net p1))
+  (* t01 only produces into p1, so p1's marking matters to t10 alone. *)
+  Alcotest.(check (array int)) "consumers of p1" [| t10 |]
+    (Petri.consumers net p1);
+  Alcotest.(check (array int)) "consumers of p0" [| t01 |]
+    (Petri.consumers net p0)
 
 let test_fire_semantics () =
   let net, _, _, t01, t10 = two_phase ~m0:1 ~to1:1. ~to0:2. in
@@ -128,6 +131,43 @@ let test_simulation_immediate_weights () =
   let total = stats.Simulation.rates.(a) +. stats.Simulation.rates.(c) in
   close ~eps:1e-9 "branches carry all ticks" stats.Simulation.rates.(t) total;
   close ~eps:0.01 "1:3 split" 0.25 (stats.Simulation.rates.(a) /. total)
+
+let test_simulation_conflict_weights () =
+  (* [tick] leaves two tokens in [mid], so whichever of [a] and [c] fires
+     first is still enabled afterwards and must keep its weight, counted
+     once, in the second pick: [a] wins a quarter of the picks. *)
+  let b = Petri.Builder.create () in
+  let src = Petri.Builder.add_place b ~initial:1 "src" in
+  let mid = Petri.Builder.add_place b "mid" in
+  let back = Petri.Builder.add_place b "back" in
+  let _tick =
+    Petri.Builder.add_transition b "tick"
+      (Petri.Timed (Variate.Exponential 1.))
+      ~inputs:[ (src, 1) ]
+      ~outputs:[ (mid, 2) ]
+  in
+  let a =
+    Petri.Builder.add_transition b "a" (Petri.Immediate 1.) ~inputs:[ (mid, 1) ]
+      ~outputs:[ (back, 1) ]
+  in
+  let c =
+    Petri.Builder.add_transition b "c" (Petri.Immediate 3.) ~inputs:[ (mid, 1) ]
+      ~outputs:[ (back, 1) ]
+  in
+  let _join =
+    Petri.Builder.add_transition b "join" (Petri.Immediate 1.)
+      ~inputs:[ (back, 2) ]
+      ~outputs:[ (src, 1) ]
+  in
+  let net = Petri.Builder.build b in
+  List.iter
+    (fun seed ->
+      let stats = Simulation.simulate ~seed ~horizon:200_000. net in
+      let fa = float_of_int stats.Simulation.firings.(a)
+      and fc = float_of_int stats.Simulation.firings.(c) in
+      close ~eps:0.005 (Printf.sprintf "a's share, seed %d" seed) 0.25
+        (fa /. (fa +. fc)))
+    [ 1; 2; 3 ]
 
 let test_simulation_deterministic_timing () =
   (* Deterministic 2-cycle: exactly one firing of each transition per 3
@@ -499,6 +539,124 @@ let test_mms_stpn_validation () =
        false
      with Invalid_argument _ -> true)
 
+(* [Mms_stpn.run] cache lines recorded before the firing path refreshed
+   only consumers, pinning every bit (and, through [iterations], the
+   event count) of the sample path for each seed. *)
+let stpn_recorded_lines =
+  [
+    ( "default 4x4, seed 1",
+      Params.default,
+      None,
+      1,
+      600.,
+      "u_p=0x1.b5547ca3c3c1cp-1;lambda=0x1.b369d0369d035p-1;lambda_net=0x1.5f258bf258befp-3;s_obs=0x1.639893d8edec4p+2;l_obs=0x1.d28cedefa2d6bp+1;cycle_time=0x1.2d076679aa754p+3;util_memory=0x1.ade8590f75ba8p-1;util_switch_in=0x1.34fe5c6690492p-1;util_switch_out=0x1.61a6624094e56p-2;util_sync=0x0p+0;su_obs=0x0p+0;queue_processor=0x1.7f5bab22f3bacp+1;queue_memory=0x1.8cc327c8e918p+1;queue_network=0x1.e7c25a2846598p+0;iterations=50860;converged=true"
+    );
+    ( "default 4x4, seed 2",
+      Params.default,
+      None,
+      2,
+      600.,
+      "u_p=0x1.aa3f63db133dp-1;lambda=0x1.ae147ae147ae1p-1;lambda_net=0x1.551eb851eb85p-3;s_obs=0x1.6f6d94b2ce0b8p+2;l_obs=0x1.e6ab26c5a16ccp+1;cycle_time=0x1.30c30c30c30c3p+3;util_memory=0x1.af33c7be10021p-1;util_switch_in=0x1.2fbabf039bfb6p-1;util_switch_out=0x1.5a6587a035d16p-2;util_sync=0x0p+0;su_obs=0x0p+0;queue_processor=0x1.726643b89f209p+1;queue_memory=0x1.98cd350c68e07p+1;queue_network=0x1.e9990e75effe8p+0;iterations=49845;converged=true"
+    );
+    ( "k = 2, n_t = 2, seed 1",
+      { Params.default with Params.k = 2; n_t = 2 },
+      None,
+      1,
+      600.,
+      "u_p=0x1.0621cdc2d8a9bp-1;lambda=0x1.0333333333333p-1;lambda_net=0x1.aaaaaaaaaaaaap-4;s_obs=0x1.6e3992ef2048fp+1;l_obs=0x1.7662408e3181dp+0;cycle_time=0x1.f9add3c0ca459p+1;util_memory=0x1.f93ecdd21a6ep-2;util_switch_in=0x1.1ae7e24b41772p-2;util_switch_out=0x1.b37be23780dcp-3;util_sync=0x0p+0;su_obs=0x0p+0;queue_processor=0x1.53bfbdcae4098p-1;queue_memory=0x1.7b1047c32bb9dp-1;queue_network=0x1.312ffa71f03ccp-1;iterations=7201;converged=true"
+    );
+    ( "k = 2, n_t = 2, seed 2",
+      { Params.default with Params.k = 2; n_t = 2 },
+      None,
+      2,
+      600.,
+      "u_p=0x1.073950a19333bp-1;lambda=0x1.0a06d3a06d3a1p-1;lambda_net=0x1.afc962fc962fcp-4;s_obs=0x1.7be6b2cc7a834p+1;l_obs=0x1.60c698cb7633ep+0;cycle_time=0x1.ecb3d61ecb3d5p+1;util_memory=0x1.048eb07ac35f1p-1;util_switch_in=0x1.2da308c9814c2p-2;util_switch_out=0x1.addbfadf808bp-3;util_sync=0x0p+0;su_obs=0x0p+0;queue_processor=0x1.51061bed5a38fp-1;queue_memory=0x1.6e97c30bc02a7p-1;queue_network=0x1.40622106e59ccp-1;iterations=7395;converged=true"
+    );
+    ( "mem_ports = 2, seed 1",
+      { Params.default with Params.mem_ports = 2 },
+      None,
+      1,
+      600.,
+      "u_p=0x1.f0ce9a85bae56p-1;lambda=0x1.ee06d3a06d3ap-1;lambda_net=0x1.7b17e4b17e4acp-3;s_obs=0x1.9b4788df6913p+2;l_obs=0x1.3d1b24723db66p+0;cycle_time=0x1.095048f614108p+3;util_memory=-0x1.7f80e8c479ccp-5;util_switch_in=0x1.49d9036c8852ap-1;util_switch_out=0x1.7695ee08f6acep-2;util_sync=0x0p+0;su_obs=0x0p+0;queue_processor=0x1.1b3f52be58e5p+2;queue_memory=0x1.31f96a8db2886p+0;queue_network=0x1.3084a53c74f1cp+1;iterations=56486;converged=true"
+    );
+    ( "mem_ports = 2, seed 2",
+      { Params.default with Params.mem_ports = 2 },
+      None,
+      2,
+      600.,
+      "u_p=0x1.edc914fa99a46p-1;lambda=0x1.e93a06d3a06d4p-1;lambda_net=0x1.8b851eb851eb1p-3;s_obs=0x1.ac07ead394043p+2;l_obs=0x1.3aa337bc66268p+0;cycle_time=0x1.0beaada4bda9ap+3;util_memory=-0x1.e6e9361e4996p-5;util_switch_in=0x1.55ef452f9f653p-1;util_switch_out=0x1.8bf3b8924d8fp-2;util_sync=0x0p+0;su_obs=0x0p+0;queue_processor=0x1.0f832a71ae06bp+2;queue_memory=0x1.2ca48b6ab6683p+0;queue_network=0x1.4aa7656748bdcp+1;iterations=56893;converged=true"
+    );
+    ( "switch_pipeline = 2, p_remote = 0.6, seed 1",
+      { Params.default with Params.switch_pipeline = 2; p_remote = 0.6 },
+      None,
+      1,
+      600.,
+      "u_p=0x1.6ba72fc9227dcp-1;lambda=0x1.7281b4e81b4e8p-1;lambda_net=0x1.b428f5c28f5bfp-2;s_obs=0x1.24d67a3c9685fp+2;l_obs=0x1.b24b95d7a0375p+1;cycle_time=0x1.61c3a3943fd33p+3;util_memory=0x1.77abbead4c65ap-1;util_switch_in=0x1.dc38b11826e54p-2;util_switch_out=-0x1.26d3099a795ap-3;util_sync=0x0p+0;su_obs=0x0p+0;queue_processor=0x1.a59a70ccb9effp+0;queue_memory=0x1.3a46a4c787b32p+1;queue_network=0x1.f2ec22d21b553p+1;iterations=72739;converged=true"
+    );
+    ( "switch_pipeline = 2, p_remote = 0.6, seed 2",
+      { Params.default with Params.switch_pipeline = 2; p_remote = 0.6 },
+      None,
+      2,
+      600.,
+      "u_p=0x1.6babaf46fdfcap-1;lambda=0x1.707ae147ae149p-1;lambda_net=0x1.ba740da740da2p-2;s_obs=0x1.351cdad7f1648p+2;l_obs=0x1.7af443aaa35dfp+1;cycle_time=0x1.63b5bedc515e5p+3;util_memory=0x1.6a7cedd3144a5p-1;util_switch_in=0x1.0243e409be225p-1;util_switch_out=-0x1.f72e90671f8ap-4;util_sync=0x0p+0;su_obs=0x0p+0;queue_processor=0x1.b20b1206d3306p+0;queue_memory=0x1.10ba83942a889p+1;queue_network=0x1.0b1ff9b435efap+2;iterations=72908;converged=true"
+    );
+    ( "deterministic memory, seed 1",
+      Params.default,
+      Some Mms_stpn.Deterministic_memory,
+      1,
+      600.,
+      "u_p=0x1.c717a46e4e393p-1;lambda=0x1.c851eb851eb86p-1;lambda_net=0x1.751eb851eb84cp-3;s_obs=0x1.79108419f36f4p+2;l_obs=0x1.a4d46d03ab774p+1;cycle_time=0x1.1f3cadc7454bcp+3;util_memory=0x1.c877cf8e244a7p-1;util_switch_in=0x1.440efaaa5d4d2p-1;util_switch_out=0x1.73fb62f7c5be4p-2;util_sync=0x0p+0;su_obs=0x0p+0;queue_processor=0x1.762651c5a857p+1;queue_memory=0x1.771086476e425p+1;queue_network=0x1.12c927f2e966ep+1;iterations=53452;converged=true"
+    );
+    ( "deterministic memory, seed 2",
+      Params.default,
+      Some Mms_stpn.Deterministic_memory,
+      2,
+      600.,
+      "u_p=0x1.c6cb4d53d4a46p-1;lambda=0x1.c85f92c5f92c4p-1;lambda_net=0x1.6c28f5c28f5cp-3;s_obs=0x1.8311e15cc9e14p+2;l_obs=0x1.a78ed83e928dcp+1;cycle_time=0x1.1f3415e636267p+3;util_memory=0x1.c8406dd2d51b2p-1;util_switch_in=0x1.41e7f5407dc77p-1;util_switch_out=0x1.6d48ad68f7b7cp-2;util_sync=0x0p+0;su_obs=0x0p+0;queue_processor=0x1.73280992ec57ap+1;queue_memory=0x1.798a49045c641p+1;queue_network=0x1.134dad68b7444p+1;iterations=52870;converged=true"
+    );
+    ( "k = 3, runlength = 2, p_remote = 0.8, seed 1",
+      { Params.default with Params.k = 3; runlength = 2.; p_remote = 0.8 },
+      None,
+      1,
+      600.,
+      "u_p=0x1.86eacc408d5f7p-1;lambda=0x1.81b4e81b4e81cp-2;lambda_net=0x1.38215ff3dd1bcp-2;s_obs=0x1.138841cf2ff73p+3;l_obs=0x1.9babce287e57ap+0;cycle_time=0x1.53d2b0b53d2bp+4;util_memory=0x1.844ec036bc472p-2;util_switch_in=0x1.9cf12a8a1c6ccp-1;util_switch_out=0x1.3bb8be6c22f89p-1;util_sync=0x0p+0;su_obs=0x0p+0;queue_processor=0x1.1293fe87035bcp+1;queue_memory=0x1.3620258bbb568p-1;queue_network=0x1.4ff1fc0b06e75p+2;iterations=23499;converged=true"
+    );
+    ( "k = 3, runlength = 2, p_remote = 0.8, seed 2",
+      { Params.default with Params.k = 3; runlength = 2.; p_remote = 0.8 },
+      None,
+      2,
+      600.,
+      "u_p=0x1.87892f4e83cb3p-1;lambda=0x1.8d159e26af37cp-2;lambda_net=0x1.39a5bc7dea00dp-2;s_obs=0x1.15082fd7db2d3p+3;l_obs=0x1.a25db4e3fe82dp+0;cycle_time=0x1.4a16017790812p+4;util_memory=0x1.9347d53e9b26cp-2;util_switch_in=0x1.a980fa1bb26fcp-1;util_switch_out=0x1.39253f7e38984p-1;util_sync=0x0p+0;su_obs=0x0p+0;queue_processor=0x1.080d71caa448ep+1;queue_memory=0x1.447752d53b25cp-1;queue_network=0x1.536a5cc00676cp+2;iterations=23924;converged=true"
+    );
+    ( "default 4x4, seed 1, horizon 20000",
+      Params.default,
+      None,
+      1,
+      20_000.,
+      "u_p=0x1.b0299fafd749cp-1;lambda=0x1.afded288ce703p-1;lambda_net=0x1.58d1b71758e24p-3;s_obs=0x1.61e5f9b778457p+2;l_obs=0x1.e369f5726a601p+1;cycle_time=0x1.2f7f9adfd30d5p+3;util_memory=0x1.afc7e614b8154p-1;util_switch_in=0x1.295697d3d1a8cp-1;util_switch_out=0x1.59a123472250ep-2;util_sync=0x0p+0;su_obs=0x0p+0;queue_processor=0x1.79e6737397e2ep+1;queue_memory=0x1.97c213d6dde2bp+1;queue_network=0x1.dcaef16b1471ep+0;iterations=1667637;converged=true"
+    );
+  ]
+
+let test_mms_stpn_recorded_lines () =
+  List.iter
+    (fun (name, p, memory, seed, horizon, line) ->
+      let r = Mms_stpn.run ~seed ~warmup:100. ~horizon ?memory p in
+      Alcotest.(check string) name line
+        (Lattol_exec.Cache.encode_measures_line r.Mms_stpn.measures))
+    stpn_recorded_lines
+
+(* An exact count over one default 4x4 run, net construction included:
+   the firing path allocates only the engine's event record and the
+   PRNG's draw per service (965 words per event when every firing
+   re-tested every transition on a touched place through closures). *)
+let test_mms_stpn_allocation () =
+  let w0 = Gc.minor_words () in
+  let r = Mms_stpn.run ~seed:1 ~warmup:100. ~horizon:600. Params.default in
+  let words = Gc.minor_words () -. w0 in
+  let per_event = words /. float_of_int r.Mms_stpn.stats.Simulation.events in
+  if per_event > 100. then
+    Alcotest.failf "%.1f minor words per measured event" per_event
+
 (* ------------------------------------------------------------------ *)
 (* Invariant discovery *)
 
@@ -689,6 +847,8 @@ let () =
         [
           Alcotest.test_case "two-phase occupancy" `Slow test_simulation_two_phase;
           Alcotest.test_case "immediate weights" `Slow test_simulation_immediate_weights;
+          Alcotest.test_case "conflict weights after a firing" `Quick
+            test_simulation_conflict_weights;
           Alcotest.test_case "deterministic timing" `Quick
             test_simulation_deterministic_timing;
           Alcotest.test_case "vanishing livelock" `Quick
@@ -727,6 +887,8 @@ let () =
           Alcotest.test_case "deterministic-L sensitivity" `Slow
             test_mms_stpn_deterministic_memory_sensitivity;
           Alcotest.test_case "validation" `Quick test_mms_stpn_validation;
+          Alcotest.test_case "recorded lines" `Quick test_mms_stpn_recorded_lines;
+          Alcotest.test_case "allocation" `Quick test_mms_stpn_allocation;
         ] );
       ( "invariants",
         [
