@@ -489,19 +489,15 @@ let register_cache_pulls progress cache =
   Serve.Progress.register_pull progress "cache_inflight" (fun () ->
       float_of_int (Exec.Cache.inflight cache));
   Serve.Progress.register_pull progress ~kind:`Counter "cache_corrupt"
-    (stat (fun s -> s.Exec.Cache.corrupt));
-  Serve.Progress.register_pull progress ~kind:`Counter "cache_tmp_reclaimed"
-    (stat (fun s -> s.Exec.Cache.tmp_reclaimed))
+    (stat (fun s -> s.Exec.Cache.corrupt))
 
-(* /healthz stops lying "ok" once the store has served us corruption:
-   quarantined entries are self-healed (re-solved on demand) but the
-   probe should surface that the disk is eating bytes. *)
+(* /healthz stops lying "ok" once the store has shown us corruption:
+   corrupt records are never served (their keys re-solve) but the probe
+   should surface that the disk is eating bytes, until a scrub. *)
 let cache_health cache () =
   let s = Exec.Cache.stats cache in
   if s.Exec.Cache.corrupt > 0 then
-    Some
-      (Printf.sprintf "%d corrupt cache entries quarantined"
-         s.Exec.Cache.corrupt)
+    Some (Printf.sprintf "%d corrupt cache records" s.Exec.Cache.corrupt)
   else None
 
 (* Analytical measures as gauges, one labeled series family per field. *)
@@ -1600,13 +1596,8 @@ let cache_cmd =
   in
   let scrub_cmd =
     let run dir =
-      let cache = Exec.Cache.create ~dir () in
-      let report = Exec.Cache.scrub cache in
+      let report = Exec.Cache.scrub ~dir in
       Format.printf "%a@." Exec.Cache.pp_scrub report;
-      let s = Exec.Cache.stats cache in
-      if s.Exec.Cache.tmp_reclaimed > 0 then
-        Format.printf "%d orphaned temp files reclaimed@."
-          s.Exec.Cache.tmp_reclaimed;
       (* Nonzero exit when something was quarantined: a cron'd scrub can
          alert without parsing output.  The store is already healed —
          the next run simply re-solves the quarantined keys. *)
@@ -1615,10 +1606,11 @@ let cache_cmd =
     Cmd.v
       (Cmd.info "scrub"
          ~doc:
-           "Verify every entry of a solve-cache store: checksum-valid \
-            entries are kept, corrupt ones quarantined (they re-solve on \
-            next use), stale-format ones dropped.  Exits 1 if anything \
-            was quarantined.")
+           "Compact a solve-cache store: verify every record of its log, \
+            keep the latest intact record of each key, and move corrupt or \
+            torn records to lattol-cache-3.quarantine (their keys re-solve \
+            on next use).  Run it while no other process writes to the \
+            store.  Exits 1 if anything was quarantined.")
       Term.(const run $ dir_arg)
   in
   Cmd.group

@@ -2,9 +2,14 @@ open Lattol_core
 open Lattol_topology
 
 (* Bump when the key derivation or the value encoding changes: stale
-   entries from older layouts then simply miss.  Version 2 added the
-   per-entry trailing checksum line. *)
-let format_version = 2
+   entries from older layouts then simply miss.  Version 3 moved the
+   store into one append-only log of journal records; the version is
+   part of the log's file name, so an older layout is never read. *)
+let format_version = 3
+
+let log_name = Printf.sprintf "lattol-cache-%d.log" format_version
+
+let quarantine_name = Printf.sprintf "lattol-cache-%d.quarantine" format_version
 
 type stats = {
   memo_hits : int;
@@ -24,6 +29,9 @@ type entry = Running | Done of Measures.t
 
 type t = {
   dir : string option; (* None = in-memory only *)
+  index : (string, string) Hashtbl.t;
+      (* key -> payload, replayed from the log at open and never mutated
+         afterwards: workers read it without the lock *)
   memo : (string, entry) Hashtbl.t;
   lock : Mutex.t;
   cond : Condition.t;
@@ -33,54 +41,90 @@ type t = {
   mutable solves : int;
   mutable stores : int;
   mutable corrupt : int;
-  mutable tmp_reclaimed : int;
 }
 
-(* A process that died between [Filename.temp_file] and [Sys.rename]
-   leaves its temp file behind forever.  Reclaim them on open: anything
-   matching the store's temp pattern and older than the open itself is an
-   orphan (an in-flight writer's temp is younger; losing a race against
-   one only makes that store fail atomically and re-solve later). *)
-let reclaim_orphan_tmps dir ~before =
-  let dir_exists d =
-    match Sys.is_directory d with
-    | b -> b
-    | exception Sys_error _ -> false
-  in
-  if not (dir_exists dir) then 0
-  else
-    Array.fold_left
-      (fun acc sub ->
-        let subdir = Filename.concat dir sub in
-        if String.length sub = 2 && dir_exists subdir then
-          Array.fold_left
-            (fun acc name ->
-              if
-                String.starts_with ~prefix:"lattol" name
-                && Filename.check_suffix name ".tmp"
-              then begin
-                let p = Filename.concat subdir name in
-                match Unix.stat p with
-                | st when st.Unix.st_mtime < before -> (
-                  match Sys.remove p with
-                  | () -> acc + 1
-                  | exception Sys_error _ -> acc)
-                | _ -> acc
-                | exception Unix.Unix_error (_, _, _) -> acc
-              end
-              else acc)
-            acc (Sys.readdir subdir)
-        else acc)
-      0 (Sys.readdir dir)
+(* ------------------------------------------------------------------ *)
+(* The record envelope and file reader, shared with Journal *)
 
+let record_line ~id ~payload =
+  Printf.sprintf "%s %s %s\n"
+    (Digest.to_hex (Digest.string (id ^ " " ^ payload)))
+    id payload
+
+(* The digest covers everything after "<md5-hex> ", so it is checked on
+   the line in place. *)
+let parse_record line =
+  let n = String.length line in
+  if n < 35 || line.[32] <> ' ' then None
+  else
+    match String.index_from_opt line 33 ' ' with
+    | Some sp
+      when sp > 33
+           && String.equal
+                (Digest.to_hex (Digest.substring line 33 (n - 33)))
+                (String.sub line 0 32) ->
+      Some (String.sub line 33 (sp - 33), String.sub line (sp + 1) (n - sp - 1))
+    | _ -> None
+
+let rec fold_lines text ~pos f acc =
+  match String.index_from_opt text pos '\n' with
+  | Some nl ->
+    fold_lines text ~pos:(nl + 1) f (f acc (String.sub text pos (nl - pos)))
+  | None -> (acc, String.sub text pos (String.length text - pos))
+
+(* Files are read through a raw descriptor: an in_channel mallocs a 64 KB
+   buffer that lives until the GC finalizes the channel.  [None] when
+   unreadable. *)
+let read_file path =
+  match Unix.openfile path [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 with
+  | exception Unix.Unix_error _ -> None
+  | fd ->
+    let rec fill b off =
+      match Unix.read fd b off (Bytes.length b - off) with
+      | 0 -> Some (Bytes.sub_string b 0 off)
+      | k -> fill b (off + k)
+    in
+    let text =
+      try fill (Bytes.create (Unix.fstat fd).Unix.st_size) 0
+      with Unix.Unix_error _ -> None
+    in
+    (try Unix.close fd with Unix.Unix_error _ -> ());
+    text
+
+let mkdir_p dir =
+  let rec go d =
+    if not (Sys.file_exists d) then begin
+      go (Filename.dirname d);
+      try Sys.mkdir d 0o755 with Sys_error _ -> ()
+    end
+  in
+  go dir
+
+(* ------------------------------------------------------------------ *)
+
+(* Replay the log once, before any worker can run.  A complete line that
+   fails verification is counted; an unterminated tail may be another
+   process's append still in flight, so it is skipped uncounted.  A
+   later record for a key wins. *)
 let create ?dir () =
-  let tmp_reclaimed =
-    match dir with
+  let index = Hashtbl.create 64 in
+  let corrupt =
+    match Option.bind dir (fun d -> read_file (Filename.concat d log_name)) with
     | None -> 0
-    | Some d -> reclaim_orphan_tmps d ~before:(Lattol_robust.Retry.now ())
+    | Some text ->
+      fst
+        (fold_lines text ~pos:0
+           (fun bad line ->
+             match parse_record line with
+             | Some (k, payload) ->
+               Hashtbl.replace index k payload;
+               bad
+             | None -> bad + 1)
+           0)
   in
   {
     dir;
+    index;
     memo = Hashtbl.create 64;
     lock = Mutex.create ();
     cond = Condition.create ();
@@ -89,8 +133,7 @@ let create ?dir () =
     misses = 0;
     solves = 0;
     stores = 0;
-    corrupt = 0;
-    tmp_reclaimed;
+    corrupt;
   }
 
 let directory t = t.dir
@@ -105,7 +148,7 @@ let stats t =
       solves = t.solves;
       stores = t.stores;
       corrupt = t.corrupt;
-      tmp_reclaimed = t.tmp_reclaimed;
+      tmp_reclaimed = 0;
     }
   in
   Mutex.unlock t.lock;
@@ -127,15 +170,13 @@ let inflight t =
   n
 
 (* The historical prefix is load-bearing (golden cram output and the CI
-   warm-cache grep both match on it); the robustness counters only appear
-   when they are nonzero. *)
+   warm-cache grep both match on it); the corrupt count only appears when
+   it is nonzero. *)
 let pp_stats ppf (s : stats) =
   Format.fprintf ppf "%d hits (%d disk, %d shared), %d misses, %d solves"
     (s.disk_hits + s.memo_hits)
     s.disk_hits s.memo_hits s.misses s.solves;
-  if s.corrupt > 0 then Format.fprintf ppf ", %d corrupt" s.corrupt;
-  if s.tmp_reclaimed > 0 then
-    Format.fprintf ppf ", %d tmp reclaimed" s.tmp_reclaimed
+  if s.corrupt > 0 then Format.fprintf ppf ", %d corrupt" s.corrupt
 
 (* ------------------------------------------------------------------ *)
 (* Canonical key *)
@@ -202,7 +243,9 @@ let key ~solver_id p =
   Digest.to_hex (Digest.string (Buffer.contents b))
 
 (* ------------------------------------------------------------------ *)
-(* On-disk value encoding *)
+(* Single-line measures codec: the payload of a cache record and of a
+   journal record.  Exact hex floats, so a stored measure round-trips
+   bit-identically. *)
 
 let fields (m : Measures.t) =
   [
@@ -222,8 +265,30 @@ let fields (m : Measures.t) =
     ("queue_network", m.Measures.queue_network);
   ]
 
-let measures_of_table tbl =
+let encode_measures_line (m : Measures.t) =
+  let b = Buffer.create 256 in
+  List.iter
+    (fun (name, v) ->
+      Printf.bprintf b "%s=" name;
+      hfloat b v;
+      Buffer.add_char b ';')
+    (fields m);
+  Printf.bprintf b "iterations=%d;converged=%b" m.Measures.iterations
+    m.Measures.converged;
+  Buffer.contents b
+
+let decode_measures_line s =
+  let tbl = Hashtbl.create 17 in
   try
+    List.iter
+      (fun item ->
+        if item <> "" then
+          match String.index_opt item '=' with
+          | None -> raise Exit
+          | Some i ->
+            Hashtbl.replace tbl (String.sub item 0 i)
+              (String.sub item (i + 1) (String.length item - i - 1)))
+      (String.split_on_char ';' s);
     let f name = float_of_string (Hashtbl.find tbl name) in
     Some
       {
@@ -244,190 +309,53 @@ let measures_of_table tbl =
         iterations = int_of_string (Hashtbl.find tbl "iterations");
         converged = bool_of_string (Hashtbl.find tbl "converged");
       }
-  with Not_found | Failure _ -> None
-
-let table_of_pairs split s =
-  let tbl = Hashtbl.create 17 in
-  match
-    List.iter
-      (fun item ->
-        if item <> "" then
-          match String.index_opt item split with
-          | None -> raise Exit
-          | Some i ->
-            Hashtbl.replace tbl (String.sub item 0 i)
-              (String.sub item (i + 1) (String.length item - i - 1)))
-      s
-  with
-  | () -> Some tbl
-  | exception Exit -> None
-
-let encode (m : Measures.t) =
-  let b = Buffer.create 512 in
-  Printf.bprintf b "lattol-cache %d\n" format_version;
-  List.iter
-    (fun (name, v) ->
-      Printf.bprintf b "%s " name;
-      hfloat b v;
-      Buffer.add_char b '\n')
-    (fields m);
-  Printf.bprintf b "iterations %d\n" m.Measures.iterations;
-  Printf.bprintf b "converged %b\n" m.Measures.converged;
-  (* The trailing checksum line covers every preceding byte: truncation
-     and bit flips alike fail verification. *)
-  Printf.bprintf b "checksum %s"
-    (Digest.to_hex (Digest.string (Buffer.contents b)));
-  Buffer.add_char b '\n';
-  Buffer.contents b
-
-(* Split off the trailing "checksum <hex>" line; [None] if the entry does
-   not end with one (truncated, or torn mid-line). *)
-let checksum_split text =
-  let n = String.length text in
-  if n = 0 || text.[n - 1] <> '\n' then None
-  else
-    let start =
-      match String.rindex_from_opt text (n - 2) '\n' with
-      | Some i -> i + 1
-      | None -> 0
-    in
-    let line = String.sub text start (n - 1 - start) in
-    if String.starts_with ~prefix:"checksum " line then
-      Some
-        ( String.sub text 0 start,
-          String.sub line 9 (String.length line - 9) )
-    else None
-
-type decoded = Value of Measures.t | Corrupt | Stale
-
-(* Decode one on-disk entry.  [Stale] = an intact header from an older
-   format version (a plain miss: the store overwrites it); [Corrupt] = an
-   entry claiming the current format that fails verification or parsing
-   (quarantined, counted, re-solved). *)
-let decode_entry text =
-  match String.index_opt text '\n' with
-  | None -> Corrupt
-  | Some i ->
-    let header = String.sub text 0 i in
-    if not (String.equal header (Printf.sprintf "lattol-cache %d" format_version))
-    then
-      if String.starts_with ~prefix:"lattol-cache " header then Stale
-      else Corrupt
-    else begin
-      match checksum_split text with
-      | None -> Corrupt
-      | Some (body, hex) ->
-        if not (String.equal (Digest.to_hex (Digest.string body)) hex) then
-          Corrupt
-        else begin
-          match
-            String.split_on_char '\n' (String.trim body) |> List.tl
-            |> table_of_pairs ' '
-          with
-          | None -> Corrupt
-          | Some tbl -> (
-            match measures_of_table tbl with
-            | Some m -> Value m
-            | None -> Corrupt)
-        end
-    end
+  with Exit | Not_found | Failure _ | Invalid_argument _ -> None
 
 (* ------------------------------------------------------------------ *)
-(* Single-line measures codec (the checkpoint Journal's payload format;
-   same exact hex floats, so a journaled measure round-trips
-   bit-identically just like a cached one). *)
-
-let encode_measures_line (m : Measures.t) =
-  let b = Buffer.create 256 in
-  List.iter
-    (fun (name, v) ->
-      Printf.bprintf b "%s=" name;
-      hfloat b v;
-      Buffer.add_char b ';')
-    (fields m);
-  Printf.bprintf b "iterations=%d;converged=%b" m.Measures.iterations
-    m.Measures.converged;
-  Buffer.contents b
-
-let decode_measures_line s =
-  match table_of_pairs '=' (String.split_on_char ';' s) with
-  | None -> None
-  | Some tbl -> measures_of_table tbl
-
-let path_of_key dir k = Filename.concat (Filename.concat dir (String.sub k 0 2)) k
-
-let mkdir_p dir =
-  let rec go d =
-    if not (Sys.file_exists d) then begin
-      go (Filename.dirname d);
-      try Sys.mkdir d 0o755 with Sys_error _ -> ()
-    end
-  in
-  go dir
-
-(* A corrupted entry is moved aside (never deleted: the bytes are
-   evidence) so the key misses and re-solves; the fresh store then
-   overwrites the now-vacant slot. *)
-let quarantine dir k =
-  let qdir = Filename.concat dir "quarantine" in
-  mkdir_p qdir;
-  try Sys.rename (path_of_key dir k) (Filename.concat qdir k)
-  with Sys_error _ -> ()
-
-(* Entries are read through a raw descriptor: an in_channel mallocs a
-   64 KB buffer that lives until the GC finalizes the channel, and a warm
-   sweep reads hundreds of entries per run.  [None] when unreadable. *)
-let read_entry path =
-  match Unix.openfile path [ Unix.O_RDONLY ] 0 with
-  | exception Unix.Unix_error _ -> None
-  | fd ->
-    let rec fill b off =
-      match Unix.read fd b off (Bytes.length b - off) with
-      | 0 -> Some (Bytes.sub_string b 0 off)
-      | k -> fill b (off + k)
-    in
-    let text =
-      try fill (Bytes.create (Unix.fstat fd).Unix.st_size) 0
-      with Unix.Unix_error _ -> None
-    in
-    (try Unix.close fd with Unix.Unix_error _ -> ());
-    text
+(* The on-disk store *)
 
 let disk_find t k =
-  match t.dir with
+  match Hashtbl.find_opt t.index k with
   | None -> None
-  | Some dir -> (
-    match read_entry (path_of_key dir k) with
-    | Some text -> (
-      match decode_entry text with
-      | Value m -> Some m
-      | Stale -> None
-      | Corrupt ->
-        quarantine dir k;
-        note_corrupt t;
-        None)
-    | None -> None)
+  | Some payload -> (
+    match decode_measures_line payload with
+    | Some _ as m -> m
+    | None ->
+      note_corrupt t;
+      None)
 
+(* One open, one write, one close.  [Ok false] = a short write. *)
+let append path text =
+  match
+    Unix.openfile path
+      [ Unix.O_WRONLY; Unix.O_APPEND; Unix.O_CREAT; Unix.O_CLOEXEC ]
+      0o644
+  with
+  | exception Unix.Unix_error (e, _, _) -> Error e
+  | fd ->
+    let n = String.length text in
+    let written =
+      try Unix.single_write_substring fd text 0 n with Unix.Unix_error _ -> 0
+    in
+    (try Unix.close fd with Unix.Unix_error _ -> ());
+    Ok (written = n)
+
+(* Each record is one O_APPEND write, so appends from processes sharing
+   the directory never interleave on a local filesystem (and fail
+   verification where they do).  No fsync: a lost record only re-solves.
+   The directory is created on the first store; an unwritable location
+   makes the store fail, never the run. *)
 let disk_store t k m =
   match t.dir with
   | None -> false
   | Some dir -> (
-    let path = path_of_key dir k in
-    mkdir_p (Filename.dirname path);
-    (* Write-then-rename so concurrent writers of the same key (two runs
-       sharing a cache directory) never expose a torn entry. *)
-    let tmp =
-      Filename.temp_file ~temp_dir:(Filename.dirname path) "lattol" ".tmp"
-    in
-    match
-      Out_channel.with_open_bin tmp (fun oc ->
-          Out_channel.output_string oc (encode m));
-      Sys.rename tmp path
-    with
-    | () -> true
-    | exception Sys_error _ ->
-      (try Sys.remove tmp with Sys_error _ -> ());
-      false)
+    let path = Filename.concat dir log_name in
+    let line = record_line ~id:k ~payload:(encode_measures_line m) in
+    match append path line with
+    | Error Unix.ENOENT ->
+      mkdir_p dir;
+      append path line = Ok true
+    | r -> r = Ok true)
 
 (* ------------------------------------------------------------------ *)
 
@@ -519,64 +447,58 @@ let find_or_compute ?(trace = Tc.disabled) t ~key:k f =
         raise e))
 
 (* ------------------------------------------------------------------ *)
-(* Scrub: full verification pass over the on-disk store *)
+(* Scrub: compaction *)
 
-type scrub_report = {
-  scanned : int;
-  intact : int;
-  quarantined : int;
-  stale : int;
-}
+type scrub_report = { scanned : int; intact : int; quarantined : int }
 
-let empty_scrub = { scanned = 0; intact = 0; quarantined = 0; stale = 0 }
+let unlines ls = String.concat "" (List.concat_map (fun l -> [ l; "\n" ]) ls)
 
-let scrub t =
-  match t.dir with
-  | None -> empty_scrub
-  | Some dir ->
-    let dir_exists d =
-      match Sys.is_directory d with
-      | b -> b
-      | exception Sys_error _ -> false
+let write_file flags path text =
+  let fd =
+    Unix.openfile path
+      (Unix.O_WRONLY :: Unix.O_CREAT :: Unix.O_CLOEXEC :: flags)
+      0o644
+  in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      ignore (Unix.write_substring fd text 0 (String.length text));
+      Unix.fsync fd)
+
+(* The bad lines reach the quarantine file before the compacted log
+   replaces the old one, so no byte is lost to a failed scrub. *)
+let scrub ~dir =
+  let log = Filename.concat dir log_name in
+  match read_file log with
+  | None -> { scanned = 0; intact = 0; quarantined = 0 }
+  | Some text ->
+    let live = Hashtbl.create 64 in
+    let (intact, bad), tail =
+      fold_lines text ~pos:0
+        (fun (intact, bad) line ->
+          match parse_record line with
+          | Some (k, payload)
+            when Option.is_some (decode_measures_line payload) ->
+            Hashtbl.replace live k line;
+            (intact + 1, bad)
+          | _ -> (intact, line :: bad))
+        (0, [])
     in
-    if not (dir_exists dir) then empty_scrub
-    else begin
-      let subdirs = Sys.readdir dir in
-      Array.sort String.compare subdirs;
-      Array.fold_left
-        (fun acc sub ->
-          let subdir = Filename.concat dir sub in
-          if String.length sub = 2 && dir_exists subdir then begin
-            let names = Sys.readdir subdir in
-            Array.sort String.compare names;
-            Array.fold_left
-              (fun acc name ->
-                if Filename.check_suffix name ".tmp" then acc
-                else begin
-                  let acc = { acc with scanned = acc.scanned + 1 } in
-                  match read_entry (Filename.concat subdir name) with
-                  | Some text -> (
-                    match decode_entry text with
-                    | Value _ -> { acc with intact = acc.intact + 1 }
-                    | Stale ->
-                      (* An older format never gets served; dropping it
-                         here reclaims the space a store would otherwise
-                         only reuse on the same key. *)
-                      (try Sys.remove (Filename.concat subdir name)
-                       with Sys_error _ -> ());
-                      { acc with stale = acc.stale + 1 }
-                    | Corrupt ->
-                      quarantine dir name;
-                      note_corrupt t;
-                      { acc with quarantined = acc.quarantined + 1 })
-                  | None -> acc
-                end)
-              acc names
-          end
-          else acc)
-        empty_scrub subdirs
-    end
+    (* No other process writes during a scrub, so a tail is a torn
+       append. *)
+    let bad = List.rev (if tail = "" then bad else tail :: bad) in
+    let quarantined = List.length bad in
+    if quarantined > 0 then
+      write_file [ Unix.O_APPEND ] (Filename.concat dir quarantine_name)
+        (unlines bad);
+    let tmp = log ^ ".tmp" in
+    write_file [ Unix.O_TRUNC ] tmp
+      (unlines
+         (List.sort String.compare
+            (Hashtbl.fold (fun _ line acc -> line :: acc) live [])));
+    Unix.rename tmp log;
+    { scanned = intact + quarantined; intact; quarantined }
 
 let pp_scrub ppf r =
-  Format.fprintf ppf "%d entries scanned, %d intact, %d quarantined, %d stale"
-    r.scanned r.intact r.quarantined r.stale
+  Format.fprintf ppf "%d records scanned, %d intact, %d quarantined" r.scanned
+    r.intact r.quarantined

@@ -8,7 +8,8 @@
 
      <md5-hex> <id> <payload>
 
-   where the digest covers "<id> <payload>".  Appends are serialized
+   where the digest covers "<id> <payload>" (the envelope the solve
+   cache's log shares: {!Cache.record_line}).  Appends are serialized
    under a mutex and written in batches, one fsync each, so after a
    SIGKILL the file is a valid journal plus at most one torn trailing
    record — {!resume} verifies every line, truncates the bad tail, and
@@ -57,28 +58,6 @@ let check_id id =
   if id = "" || String.contains id ' ' then
     invalid_arg "Journal: id must be non-empty and space-free"
 
-let digest_of ~id ~payload = Digest.to_hex (Digest.string (id ^ " " ^ payload))
-
-let record_line ~id ~payload =
-  Printf.sprintf "%s %s %s\n" (digest_of ~id ~payload) id payload
-
-(* A complete record line (no trailing newline) back into (id, payload),
-   or None if torn or corrupted. *)
-let parse_record line =
-  match String.index_opt line ' ' with
-  | None -> None
-  | Some sp1 -> (
-    let digest = String.sub line 0 sp1 in
-    if String.length digest <> 32 then None
-    else
-      match String.index_from_opt line (sp1 + 1) ' ' with
-      | None -> None
-      | Some sp2 ->
-        let id = String.sub line (sp1 + 1) (sp2 - sp1 - 1) in
-        let payload = String.sub line (sp2 + 1) (String.length line - sp2 - 1) in
-        if String.equal (digest_of ~id ~payload) digest then Some (id, payload)
-        else None)
-
 let write_all fd s =
   let n = String.length s in
   let rec go off =
@@ -112,25 +91,13 @@ let create ?(on_record = fun _ -> ()) ~path ~meta () =
   Unix.fsync fd;
   make ~path ~fd ~entries:[] ~discarded:0 on_record
 
-let count_lines s lo hi =
-  let n = ref 0 in
-  for i = lo to hi - 1 do
-    if s.[i] = '\n' then incr n
-  done;
-  if hi > lo && s.[hi - 1] <> '\n' then incr n;
-  !n
-
 let resume ?(on_record = fun _ -> ()) ~path ~meta () =
   check_meta meta;
   if not (Sys.file_exists path) then Ok (create ~on_record ~path ~meta ())
-  else begin
-    let text = In_channel.with_open_bin path In_channel.input_all in
-    let expected = header meta in
-    let hlen = String.length expected in
-    if
-      String.length text < hlen
-      || not (String.equal (String.sub text 0 hlen) expected)
-    then
+  else
+    match Cache.read_file path with
+    | None -> Error (Printf.sprintf "cannot read journal %s" path)
+    | Some text when not (String.starts_with ~prefix:(header meta) text) ->
       if String.starts_with ~prefix:"lattol-journal " text then
         Error
           (Printf.sprintf
@@ -138,36 +105,27 @@ let resume ?(on_record = fun _ -> ()) ~path ~meta () =
               (start fresh without --resume, or delete it)"
              path)
       else Error (Printf.sprintf "%s is not a lattol-journal file" path)
-    else begin
-      let n = String.length text in
-      let entries = ref [] in
-      (* [good] = offset just past the last verified record; everything
-         after it (a torn append, garbage) is truncated away. *)
-      let good = ref hlen in
-      let pos = ref hlen in
-      (try
-         while !pos < n do
-           match String.index_from_opt text !pos '\n' with
-           | None -> raise Exit (* torn final record: no newline landed *)
-           | Some nl -> (
-             match parse_record (String.sub text !pos (nl - !pos)) with
-             | Some entry ->
-               entries := entry :: !entries;
-               good := nl + 1;
-               pos := nl + 1
-             | None -> raise Exit)
-         done
-       with Exit -> ());
-      let discarded = count_lines text !good n in
+    | Some text ->
+      (* [good] = offset just past the last verified record; the first
+         torn or corrupt line and everything after it are truncated
+         away. *)
+      let hlen = String.length (header meta) in
+      let (entries, good, discarded), tail =
+        Cache.fold_lines text ~pos:hlen
+          (fun (entries, good, discarded) line ->
+            match if discarded = 0 then Cache.parse_record line else None with
+            | Some entry -> (entry :: entries, good + String.length line + 1, 0)
+            | None -> (entries, good, discarded + 1))
+          ([], hlen, 0)
+      in
+      let discarded = if tail = "" then discarded else discarded + 1 in
       let fd = Unix.openfile path [ Unix.O_WRONLY ] 0o644 in
       if discarded > 0 then begin
-        Unix.ftruncate fd !good;
+        Unix.ftruncate fd good;
         Unix.fsync fd
       end;
-      ignore (Unix.lseek fd !good Unix.SEEK_SET);
-      Ok (make ~path ~fd ~entries:(List.rev !entries) ~discarded on_record)
-    end
-  end
+      ignore (Unix.lseek fd good Unix.SEEK_SET);
+      Ok (make ~path ~fd ~entries:(List.rev entries) ~discarded on_record)
 
 let append_batch t records =
   match records with
@@ -180,7 +138,7 @@ let append_batch t records =
         (fun (id, payload) ->
           check_id id;
           single_line "payload" payload;
-          record_line ~id ~payload)
+          Cache.record_line ~id ~payload)
         records
     in
     let text = String.concat "" lines in

@@ -4,8 +4,9 @@
     point, a replication) so an interrupted run can {!resume}: completed
     ids are skipped and the output is byte-identical to an uninterrupted
     run.  {!map} is the one checkpointed fan-out every journaled run
-    goes through.  The discipline mirrors the {!Cache}'s verified
-    storage:
+    goes through.  Its records share one envelope, and one file
+    reader, with the {!Cache}'s log ({!Cache.record_line},
+    {!Cache.parse_record}, {!Cache.read_file}):
 
     - every record carries an MD5 checksum over its id and payload;
     - appends are serialized and written in batches, one [fsync] per
@@ -37,7 +38,7 @@ val resume : ?on_record:(int -> unit) -> path:string -> meta:string ->
   unit -> (t, string) result
 (** Reopen [path] for appending, replaying its verified records.  A
     missing file starts fresh; a header whose meta differs from [meta]
-    (or a non-journal file) is an [Error].  A torn or corrupted tail is
+    (or a non-journal or unreadable file) is an [Error].  A torn or corrupted tail is
     truncated away and counted in {!discarded}. *)
 
 val find : t -> string -> string option

@@ -9,8 +9,9 @@
       what {!Lattol_obs.Metrics.write_json_snapshot} flushes to
       [--metrics-out], so a final scrape equals the written file;
     - [GET /healthz]: ["ok\n"] (200) while the health callback reports
-      nothing, ["degraded: <reason>\n"] (503) once it does — e.g. after
-      the solve cache has quarantined corrupt entries;
+      nothing, ["degraded: <reason>\n"] (503) once it does — e.g.
+      ["degraded: 1 corrupt cache records"] once the solve cache has met
+      a record that fails its checksum;
     - [GET /runtime.json]: the live runtime-profiler counters when a
       [runtime] callback was supplied (typically
       [Lattol_obs.Runtime_profile.live_json]), or

@@ -646,36 +646,67 @@ let test_cache_memo_and_disk () =
   Alcotest.(check int) "disk hit counted" 1 s2.Cache.disk_hits;
   Alcotest.(check int) "no miss" 0 s2.Cache.misses
 
+(* A pre-solved measure lets the stress property hammer the cache without
+   paying for a solver run per qcheck iteration: the point under test is
+   the memo protocol, not the solver. *)
+let stress_measures = Mms.solve Params.default
+
+let log_path dir = Filename.concat dir "lattol-cache-3.log"
+
 let test_cache_corrupt_entry_recomputes () =
   let dir = tmp_dir "lattol_cache" in
   let p = Params.default in
   let key = Cache.key ~solver_id:(solver_id p) p in
   let c1 = Cache.create ~dir () in
   let a = Cache.find_or_compute c1 ~key (fun () -> Mms.solve p) in
-  (* Truncate the stored entry; the next run must fall back to solving. *)
-  let rec find_file d =
-    let entries = Sys.readdir d in
-    let sub = ref None in
-    Array.iter
-      (fun e ->
-        let path = Filename.concat d e in
-        if Sys.is_directory path then sub := Some (find_file path)
-        else sub := Some path)
-      entries;
-    Option.get !sub
-  in
-  let path = find_file dir in
-  Out_channel.with_open_bin path (fun oc ->
-      Out_channel.output_string oc "garbage");
+  (* Bit rot in the record: the next handle skips it at open, counts it,
+     and falls back to solving. *)
+  Chaos.flip_byte ~path:(log_path dir) ~offset:40;
   let c2 = Cache.create ~dir () in
+  Alcotest.(check int) "counted at open" 1 (Cache.stats c2).Cache.corrupt;
   let solves = ref 0 in
-  let b =
-    Cache.find_or_compute c2 ~key (fun () ->
-        incr solves;
-        Mms.solve p)
+  let compute () =
+    incr solves;
+    Mms.solve p
   in
+  let b = Cache.find_or_compute c2 ~key compute in
   Alcotest.(check int) "recomputed" 1 !solves;
-  Alcotest.(check bool) "same value" true (a = b)
+  Alcotest.(check bool) "same value" true (a = b);
+  (* A record that verifies but whose payload does not decode is corrupt
+     too: counted at lookup, and the key re-solves. *)
+  let dir = tmp_dir "lattol_cache" in
+  Out_channel.with_open_bin (log_path dir) (fun oc ->
+      Out_channel.output_string oc
+        (Cache.record_line ~id:key ~payload:"u_p=0x1p-1;converged=maybe"));
+  let c3 = Cache.create ~dir () in
+  Alcotest.(check int) "verified at open" 0 (Cache.stats c3).Cache.corrupt;
+  let c = Cache.find_or_compute c3 ~key compute in
+  Alcotest.(check int) "recomputed again" 2 !solves;
+  Alcotest.(check bool) "same value again" true (a = c);
+  Alcotest.(check int) "counted at lookup" 1 (Cache.stats c3).Cache.corrupt
+
+let test_cache_unwritable_location () =
+  (* A regular file where the cache directory should be: every store
+     fails, and the run goes on with the solve. *)
+  let file = Filename.temp_file "lattol_cache" ".file" in
+  let p = Params.default in
+  let key = Cache.key ~solver_id:(solver_id p) p in
+  let c = Cache.create ~dir:file () in
+  let solves = ref 0 in
+  let compute () =
+    incr solves;
+    Mms.solve p
+  in
+  let a = Cache.find_or_compute c ~key compute in
+  Alcotest.(check bool) "the solve is returned" true (a = Mms.solve p);
+  let s = Cache.stats c in
+  Alcotest.(check int) "one solve" 1 s.Cache.solves;
+  Alcotest.(check int) "nothing stored" 0 s.Cache.stores;
+  let b = Cache.find_or_compute c ~key compute in
+  Alcotest.(check bool) "same value" true (a = b);
+  Alcotest.(check int) "no second solve" 1 !solves;
+  Alcotest.(check int) "second lookup is a memo hit" 1
+    (Cache.stats c).Cache.memo_hits
 
 let test_cache_concurrent_dedup () =
   (* Many workers asking for the same key must trigger exactly one
@@ -698,8 +729,7 @@ let test_cache_concurrent_dedup () =
       if m <> results.(0) then Alcotest.fail "requesters saw different values")
     results
 
-let entry_path dir key =
-  Filename.concat (Filename.concat dir (String.sub key 0 2)) key
+let read path = In_channel.with_open_bin path In_channel.input_all
 
 let test_cache_scrub_quarantines_and_heals () =
   let dir = tmp_dir "lattol_scrub" in
@@ -707,23 +737,38 @@ let test_cache_scrub_quarantines_and_heals () =
   let p2 = { p1 with Params.p_remote = 0.25 } in
   let k1 = Cache.key ~solver_id:(solver_id p1) p1 in
   let k2 = Cache.key ~solver_id:(solver_id p2) p2 in
+  let stale = Cache.create ~dir () in
   let c1 = Cache.create ~dir () in
   let a = Cache.find_or_compute c1 ~key:k1 (fun () -> Mms.solve p1) in
   let _ = Cache.find_or_compute c1 ~key:k2 (fun () -> Mms.solve p2) in
-  (* Bit rot in one entry: scrub must quarantine exactly that one. *)
-  Chaos.flip_byte ~path:(entry_path dir k1) ~offset:40;
-  let c2 = Cache.create ~dir () in
-  let r = Cache.scrub c2 in
-  Alcotest.(check int) "scanned" 2 r.Cache.scanned;
-  Alcotest.(check int) "intact" 1 r.Cache.intact;
-  Alcotest.(check int) "quarantined" 1 r.Cache.quarantined;
-  Alcotest.(check int) "stale" 0 r.Cache.stale;
-  Alcotest.(check int) "corrupt counter feeds /healthz" 1
-    (Cache.stats c2).Cache.corrupt;
-  Alcotest.(check bool) "parked under quarantine/" true
-    (Sys.file_exists
-       (Filename.concat (Filename.concat dir "quarantine") k1));
+  (* A handle sees the log as it was when it opened: this one stores k2
+     a second time. *)
+  let _ = Cache.find_or_compute stale ~key:k2 (fun () -> Mms.solve p2) in
+  Alcotest.(check int) "stale handle re-stored" 1
+    (Cache.stats stale).Cache.stores;
+  (* Bit rot in k1's record and a torn append behind the last one. *)
+  let first = List.hd (String.split_on_char '\n' (read (log_path dir))) in
+  Chaos.flip_byte ~path:(log_path dir) ~offset:40;
+  let torn = String.sub first 0 50 in
+  Out_channel.with_open_gen [ Open_append; Open_binary ] 0o644 (log_path dir)
+    (fun oc -> Out_channel.output_string oc torn);
+  let r = Cache.scrub ~dir in
+  Alcotest.(check int) "scanned" 4 r.Cache.scanned;
+  Alcotest.(check int) "intact" 2 r.Cache.intact;
+  Alcotest.(check int) "quarantined" 2 r.Cache.quarantined;
+  let flipped =
+    String.mapi
+      (fun i c -> if i = 40 then Char.chr (Char.code c lxor 0xFF) else c)
+      first
+  in
+  Alcotest.(check string) "bad bytes kept as evidence"
+    (flipped ^ "\n" ^ torn ^ "\n")
+    (read (Filename.concat dir "lattol-cache-3.quarantine"));
+  Alcotest.(check int) "compacted to one record per key" 1
+    (List.length (String.split_on_char '\n' (read (log_path dir))) - 1);
   (* The quarantined key transparently re-solves to the same value... *)
+  let c2 = Cache.create ~dir () in
+  Alcotest.(check int) "nothing corrupt left" 0 (Cache.stats c2).Cache.corrupt;
   let solves = ref 0 in
   let b =
     Cache.find_or_compute c2 ~key:k1 (fun () ->
@@ -733,58 +778,53 @@ let test_cache_scrub_quarantines_and_heals () =
   Alcotest.(check int) "re-solved once" 1 !solves;
   Alcotest.(check bool) "healed value bit-identical" true (a = b);
   (* ...and the re-store heals the disk: a fresh scrub runs clean. *)
-  let r2 = Cache.scrub (Cache.create ~dir ()) in
+  let r2 = Cache.scrub ~dir in
   Alcotest.(check int) "store healed" 2 r2.Cache.intact;
-  Alcotest.(check int) "nothing left to quarantine" 0 r2.Cache.quarantined
+  Alcotest.(check int) "nothing left to quarantine" 0 r2.Cache.quarantined;
+  let r3 = Cache.scrub ~dir:(Filename.concat dir "absent") in
+  Alcotest.(check int) "a missing store scrubs to zeros" 0 r3.Cache.scanned
 
-let test_cache_scrub_drops_stale () =
-  let dir = tmp_dir "lattol_scrub" in
-  let p = Params.default in
-  let key = Cache.key ~solver_id:(solver_id p) p in
-  let c = Cache.create ~dir () in
-  let _ = Cache.find_or_compute c ~key (fun () -> Mms.solve p) in
-  (* An intact entry from an older format version: dropped silently (a
-     plain miss), never quarantined and never counted corrupt. *)
-  let old_key = "zz" ^ String.sub key 2 (String.length key - 2) in
-  let old_path = entry_path dir old_key in
-  Sys.mkdir (Filename.dirname old_path) 0o755;
-  Out_channel.with_open_bin old_path (fun oc ->
-      Out_channel.output_string oc "lattol-cache 1\nu_p 0x1p-1\n");
-  let c2 = Cache.create ~dir () in
-  let r = Cache.scrub c2 in
-  Alcotest.(check int) "scanned" 2 r.Cache.scanned;
-  Alcotest.(check int) "intact" 1 r.Cache.intact;
-  Alcotest.(check int) "stale dropped" 1 r.Cache.stale;
-  Alcotest.(check int) "not quarantined" 0 r.Cache.quarantined;
-  Alcotest.(check int) "not corrupt" 0 (Cache.stats c2).Cache.corrupt;
-  Alcotest.(check bool) "stale file removed" false (Sys.file_exists old_path)
-
-let test_cache_reclaims_orphan_tmps () =
-  let dir = tmp_dir "lattol_tmp" in
-  let sub = Filename.concat dir "ab" in
-  Sys.mkdir sub 0o755;
-  let write p = Out_channel.with_open_bin p (fun oc ->
-      Out_channel.output_string oc "junk") in
-  (* An orphan from a writer that died long ago: reclaimed on open. *)
-  let orphan = Filename.concat sub "lattol-dead.tmp" in
-  write orphan;
-  Unix.utimes orphan 1. 1.;
-  (* A temp another live writer is mid-rename on: younger than the open,
-     left alone.  (Future mtime stands in for "concurrent".) *)
-  let live = Filename.concat sub "lattol-live.tmp" in
-  write live;
-  let future = Lattol_robust.Retry.now () +. 3600. in
-  Unix.utimes live future future;
-  (* A foreign temp file: not ours to delete, whatever its age. *)
-  let foreign = Filename.concat sub "other.tmp" in
-  write foreign;
-  Unix.utimes foreign 1. 1.;
-  let c = Cache.create ~dir () in
-  Alcotest.(check int) "one orphan reclaimed" 1
-    (Cache.stats c).Cache.tmp_reclaimed;
-  Alcotest.(check bool) "orphan gone" false (Sys.file_exists orphan);
-  Alcotest.(check bool) "live temp untouched" true (Sys.file_exists live);
-  Alcotest.(check bool) "foreign temp untouched" true (Sys.file_exists foreign)
+let test_cache_two_writers () =
+  (* Two handles on one directory, each storing its own keys from its own
+     domain at the same time: every append lands whole. *)
+  let dir = tmp_dir "lattol_shared" in
+  let n = 250 in
+  let record w i =
+    ( Digest.to_hex (Digest.string (Printf.sprintf "writer%d/%d" w i)),
+      { stress_measures with Measures.u_p = float_of_int ((w * n) + i) /. 7. } )
+  in
+  let ready = Atomic.make 0 in
+  let writer w () =
+    let c = Cache.create ~dir () in
+    Atomic.incr ready;
+    while Atomic.get ready < 2 do
+      Domain.cpu_relax ()
+    done;
+    for i = 0 to n - 1 do
+      let key, m = record w i in
+      ignore (Cache.find_or_compute c ~key (fun () -> m))
+    done;
+    (Cache.stats c).Cache.stores
+  in
+  let d1 = Domain.spawn (writer 1) in
+  let d2 = Domain.spawn (writer 2) in
+  Alcotest.(check (pair int int)) "every store landed" (n, n)
+    (Domain.join d1, Domain.join d2);
+  let reader = Cache.create ~dir () in
+  for w = 1 to 2 do
+    for i = 0 to n - 1 do
+      let key, m = record w i in
+      let served =
+        Cache.find_or_compute reader ~key (fun () ->
+            Alcotest.failf "writer %d's key %d re-solved" w i)
+      in
+      Alcotest.(check string) "bit-exact" (Cache.encode_measures_line m)
+        (Cache.encode_measures_line served)
+    done
+  done;
+  let s = Cache.stats reader in
+  Alcotest.(check int) "no corrupt record" 0 s.Cache.corrupt;
+  Alcotest.(check int) "every key a disk hit" (2 * n) s.Cache.disk_hits
 
 let test_measures_codec_roundtrip () =
   let m = Mms.solve Params.default in
@@ -797,6 +837,9 @@ let test_measures_codec_roundtrip () =
       (Cache.encode_measures_line m'));
   Alcotest.(check bool) "garbage rejected" true
     (Cache.decode_measures_line "garbage" = None);
+  let bad_bool = String.sub line 0 (String.rindex line '=' + 1) ^ "maybe" in
+  Alcotest.(check bool) "malformed flag rejected, not raised" true
+    (Cache.decode_measures_line bad_bool = None);
   Alcotest.(check bool) "empty rejected" true
     (Cache.decode_measures_line "" = None)
 
@@ -995,11 +1038,6 @@ let prop_warm_cache_equals_cold =
       in
       warm = cold && (Cache.stats warm_cache).Cache.solves = 0)
 
-(* A pre-solved measure lets the stress property hammer the cache without
-   paying for a solver run per qcheck iteration: the point under test is
-   the memo protocol, not the solver. *)
-let stress_measures = Mms.solve Params.default
-
 let prop_cache_stress_single_key =
   QCheck.Test.make
     ~name:"many domains hammering one key: one solve, consistent counters"
@@ -1034,6 +1072,104 @@ let prop_cache_stress_single_key =
       && s.Cache.stores = 0
       && s.Cache.memo_hits = total - 1
       && Array.for_all (fun m -> m = results.(0)) results)
+
+(* The record envelope under Chaos.flip_byte's fault (one byte xor 0xFF)
+   and truncation: a damaged record is rejected, never decoded into a
+   different (id, payload). *)
+let envelope_arb =
+  let open QCheck.Gen in
+  let char_but bad repl =
+    map (fun c -> if String.contains bad c then repl else c) char
+  in
+  QCheck.make
+    ~print:(fun (id, payload) -> Printf.sprintf "%S %S" id payload)
+    (pair
+       (string_size ~gen:(char_but " \n" '_') (int_range 1 40))
+       (string_size ~gen:(char_but "\n" ' ') (int_range 0 120)))
+
+let unterminated (id, payload) =
+  let line = Cache.record_line ~id ~payload in
+  String.sub line 0 (String.length line - 1)
+
+let prop_envelope_roundtrip =
+  QCheck.Test.make ~name:"envelope: records round-trip exactly" ~count:500
+    envelope_arb (fun r ->
+      let id, payload = r in
+      String.ends_with ~suffix:"\n" (Cache.record_line ~id ~payload)
+      && Cache.parse_record (unterminated r) = Some r)
+
+let prop_envelope_rejects_damage =
+  QCheck.Test.make
+    ~name:"envelope: every byte flip and every proper prefix is rejected"
+    ~count:200 envelope_arb (fun r ->
+      let line = unterminated r in
+      let flip i =
+        String.mapi
+          (fun j c -> if j = i then Char.chr (Char.code c lxor 0xFF) else c)
+          line
+      in
+      List.for_all
+        (fun i ->
+          Cache.parse_record (flip i) = None
+          && Cache.parse_record (String.sub line 0 i) = None)
+        (List.init (String.length line) Fun.id))
+
+(* A log of [n] records, corrupted by one flip or one truncation at a
+   random offset, opens without raising and serves each key either its
+   original bits or a re-solve; only the damaged records re-solve. *)
+let prop_corrupted_log_contained =
+  QCheck.Test.make ~name:"corrupted log: originals or re-solves, contained"
+    ~count:100
+    QCheck.(triple (int_range 1 12) bool (int_bound 1_000_000))
+    (fun (n, flip, seed) ->
+      let dir = tmp_dir "lattol_fuzz" in
+      let records =
+        List.init n (fun i ->
+            ( Digest.to_hex (Digest.string (string_of_int i)),
+              { stress_measures with Measures.u_p = float_of_int i /. 3. } ))
+      in
+      let writer = Cache.create ~dir () in
+      List.iter
+        (fun (key, m) ->
+          ignore (Cache.find_or_compute writer ~key (fun () -> m)))
+        records;
+      (* Record i spans [start i, ends.(i)), its newline included. *)
+      let ends = Array.make n 0 in
+      let start i = if i = 0 then 0 else ends.(i - 1) in
+      List.iteri
+        (fun i (key, m) ->
+          ends.(i) <-
+            start i
+            + String.length
+                (Cache.record_line ~id:key
+                   ~payload:(Cache.encode_measures_line m)))
+        records;
+      let path = log_path dir in
+      let size = ends.(n - 1) in
+      let damaged =
+        if flip then begin
+          let at = seed mod size in
+          Chaos.flip_byte ~path ~offset:at;
+          (* The hit record, and the next one when its newline was hit. *)
+          fun i -> (start i <= at && at < ends.(i)) || at = start i - 1
+        end
+        else begin
+          let keep = seed mod (size + 1) in
+          Chaos.truncate_file ~path ~keep;
+          fun i -> ends.(i) > keep
+        end
+      in
+      let reader = Cache.create ~dir () in
+      let resolved = { stress_measures with Measures.u_p = -1. } in
+      List.for_all
+        (fun (i, (key, m)) ->
+          let served =
+            Cache.encode_measures_line
+              (Cache.find_or_compute reader ~key (fun () -> resolved))
+          in
+          if damaged i then served = Cache.encode_measures_line resolved
+          else served = Cache.encode_measures_line m)
+        (List.mapi (fun i r -> (i, r)) records))
 
 (* Randomized scheduling shape — the batched-submission axes: worker
    count, claim granularity (0 stands for guided chunking) and
@@ -1373,12 +1509,12 @@ let () =
             test_cache_corrupt_entry_recomputes;
           Alcotest.test_case "concurrent dedup" `Quick
             test_cache_concurrent_dedup;
+          Alcotest.test_case "unwritable location degrades to no store"
+            `Quick test_cache_unwritable_location;
           Alcotest.test_case "scrub quarantines and heals" `Quick
             test_cache_scrub_quarantines_and_heals;
-          Alcotest.test_case "scrub drops stale formats" `Quick
-            test_cache_scrub_drops_stale;
-          Alcotest.test_case "orphan temps reclaimed on open" `Quick
-            test_cache_reclaims_orphan_tmps;
+          Alcotest.test_case "two writers, one store" `Quick
+            test_cache_two_writers;
           Alcotest.test_case "measures line codec" `Quick
             test_measures_codec_roundtrip;
         ] );
@@ -1413,6 +1549,9 @@ let () =
             prop_parallel_equals_sequential;
             prop_warm_cache_equals_cold;
             prop_cache_stress_single_key;
+            prop_envelope_roundtrip;
+            prop_envelope_rejects_damage;
+            prop_corrupted_log_contained;
             prop_batched_sweep_identical;
             prop_batched_replicate_identical;
             prop_batched_figures_identical;
