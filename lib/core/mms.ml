@@ -460,8 +460,14 @@ let measures_of_orbit m o =
     ~queue:(translated m ~sub o.queue)
     ~utilization ~queue_total ~iterations:o.iterations ~converged:o.converged
 
+(* [Access.is_translation_invariant (Params.make_access p)], read off
+   the record: the built-in patterns depend only on hop distance, so the
+   answer is the pattern and the topology kind, and nothing is built. *)
 let symmetric_applicable p =
-  Access.is_translation_invariant (Params.make_access p)
+  match p.Params.pattern with
+  | Access.Explicit _ -> false
+  | Access.Geometric _ | Access.Uniform ->
+    p.Params.topology = Topology.Torus || Params.num_processors p = 1
 
 let solver_label = function
   | Symmetric_amva -> "symmetric"

@@ -60,7 +60,11 @@ val build_network : Params.t -> Network.t
 
 val symmetric_applicable : Params.t -> bool
 (** Whether {!Symmetric_amva} is valid for these parameters: the access
-    pattern must be translation-invariant (SPMD on a torus). *)
+    pattern must be translation-invariant (SPMD on a torus).  It reads
+    only the pattern and the topology — a built-in pattern on a torus or
+    on one node — and builds nothing, so a cache lookup can afford it;
+    on every valid record it equals
+    [Access.is_translation_invariant (Params.make_access p)]. *)
 
 val default_solver : Params.t -> solver
 (** The solver {!solve} and {!solve_network} pick when none is given:

@@ -1,4 +1,4 @@
-(* Fixed-size Domain-based work pool.
+(* Domain-based work pool over a crew of parked worker domains.
 
    Work is distributed through a batched queue (an atomic cursor over the
    input array, claimed a chunk of indices at a time) and every result is
@@ -130,6 +130,83 @@ let[@lattol.allow "hot-alloc"] claim ~next ~n ~workers ~chunk =
     in
     go ()
 
+(* The crew: worker domains parked between maps (see pool.mli).  On a
+   2-vCPU VM an empty spawn and join costs 130-150 us and handing work to
+   a parked domain 13-16 us.  A parked domain still adds about 60 us to
+   every stop-the-world minor collection, which is why a serial map
+   retires the idle members first.
+
+   A member parks on its own condition until it is handed a job or told
+   to retire.  A job never raises (the map catches what its worker lets
+   escape), so a member never dies from an exception.  A member puts
+   itself back on the idle list before its map counts it done, so the
+   map returns with its members idle. *)
+type order = Park | Run of (unit -> unit) | Retire
+
+type member = {
+  lock : Mutex.t;
+  wake : Condition.t;
+  mutable order : order;  (* under [lock] *)
+  mutable domain : unit Domain.t option;  (* set once, right after spawn *)
+}
+
+let crew_lock = Mutex.create ()
+
+(* Under [crew_lock]; the member released last is hired first. *)
+let idle : member list ref = ref []
+
+let rec await m =
+  match m.order with
+  | Park ->
+    Condition.wait m.wake m.lock;
+    await m
+  | order ->
+    m.order <- Park;
+    order
+
+let rec serve m =
+  match Mutex.protect m.lock (fun () -> await m) with
+  | Run job ->
+    job ();
+    serve m
+  | Retire | Park -> ()
+
+let command m order =
+  Mutex.protect m.lock (fun () ->
+      m.order <- order;
+      Condition.signal m.wake)
+
+let hire () =
+  let parked =
+    Mutex.protect crew_lock (fun () ->
+        match !idle with
+        | m :: rest ->
+          idle := rest;
+          Some m
+        | [] -> None)
+  in
+  match parked with
+  | Some m -> m
+  | None ->
+    let m =
+      { lock = Mutex.create (); wake = Condition.create (); order = Park;
+        domain = None }
+    in
+    m.domain <- Some (Domain.spawn (fun () -> serve m));
+    m
+
+let release m = Mutex.protect crew_lock (fun () -> idle := m :: !idle)
+
+let retire_idle () =
+  let retired =
+    Mutex.protect crew_lock (fun () ->
+        let l = !idle in
+        idle := [];
+        l)
+  in
+  List.iter (fun m -> command m Retire) retired;
+  List.iter (fun m -> Option.iter Domain.join m.domain) retired
+
 let no_flush _ = ()
 
 let map_local ?chunk ?oversubscribe ?monitor ?retry ?deadline ?on_poison
@@ -166,6 +243,7 @@ let map_local ?chunk ?oversubscribe ?monitor ?retry ?deadline ?on_poison
       raise e
   in
   if n <= 1 || jobs = 1 then begin
+    retire_idle ();
     let l = local 0 in
     let poison = poison_of l in
     (match monitor with
@@ -250,11 +328,39 @@ let map_local ?chunk ?oversubscribe ?monitor ?retry ?deadline ?on_poison
       | Some m -> m.on_worker ~worker:w ~busy:false
       | None -> ()
     in
-    let domains =
-      List.init (jobs - 1) (fun i -> Domain.spawn (fun () -> worker (i + 1)))
+    (* Worker 0 runs in the caller; the others on hired members.  An
+       exception that escapes a worker (from [local] or a monitor hook:
+       task failures land in [failure]) is re-raised once every hired
+       member is idle again, the caller's own first. *)
+    let escaped = Atomic.make None in
+    let pending = ref (jobs - 1) in
+    let done_lock = Mutex.create () and all_done = Condition.create () in
+    let escape e = ignore (Atomic.compare_and_set escaped None (Some e)) in
+    let finished () =
+      Mutex.protect done_lock (fun () ->
+          decr pending;
+          if !pending = 0 then Condition.signal all_done)
     in
-    worker 0;
-    List.iter Domain.join domains;
+    let job w m () =
+      (match worker w with () -> () | exception e -> escape e);
+      release m;
+      finished ()
+    in
+    for w = 1 to jobs - 1 do
+      match hire () with
+      | m -> command m (Run (job w m))
+      | exception e ->
+        (* No domain for worker [w]: the hired ones drain its share. *)
+        escape e;
+        finished ()
+    done;
+    let own = match worker 0 with () -> None | exception e -> Some e in
+    Mutex.protect done_lock (fun () ->
+        while !pending > 0 do
+          Condition.wait all_done done_lock
+        done);
+    (match own with Some e -> raise e | None -> ());
+    (match Atomic.get escaped with Some e -> raise e | None -> ());
     (match Atomic.get failure with Some e -> raise e | None -> ());
     let results =
       Array.map

@@ -1,6 +1,6 @@
-(** Fixed-size [Domain]-based work pool with deterministic result ordering,
-    batched task submission, per-worker scratch state, and per-task fault
-    containment.
+(** [Domain]-based work pool over a crew of parked worker domains, with
+    deterministic result ordering, batched task submission, per-worker
+    scratch state, and per-task fault containment.
 
     [map ~jobs f items] evaluates [f] on every element of [items] using up
     to [jobs] domains (the calling domain included) and returns the results
@@ -18,12 +18,27 @@
     {e park} rather than compute — sleeps, I/O waits — genuinely overlap
     on any core count; pass [~oversubscribe:true] for those.
 
+    The worker domains outlive a map.  A parallel map hires idle members
+    of a process-wide crew, spawning a domain only when none is idle,
+    runs worker 0 in the calling domain, and returns once every member
+    it hired has finished and is parked again.  It waits for nothing
+    else, so nested and concurrent maps cannot deadlock.  Handing work to
+    a parked domain costs about a tenth of a spawn and join, and under
+    OCaml 5.1 a terminated domain's large blocks return to the GC late,
+    so a domain per map also grew the heap.  A parked domain still takes
+    part in every stop-the-world minor collection, which slows an
+    allocation-heavy serial loop beside it: so a map whose effective
+    pool is one first retires and joins the idle members.  A member busy
+    in another caller's map is never touched.
+
     [f] runs concurrently with itself: it must not touch shared mutable
     state unless that state synchronizes itself (the {!Cache} does).  If
     any call raises a {e fatal} exception, remaining chunks are abandoned
-    and the first exception is re-raised in the caller after all domains
-    have joined — exactly the historical behavior, and still the default
-    for every exception when no [retry]/[deadline]/[on_poison] is given.
+    and the first exception is re-raised in the caller once every hired
+    member is idle again — the default for every exception when no
+    [retry]/[deadline]/[on_poison] is given.  An exception that escapes
+    a worker outside any task (from [local] or a [monitor] hook) is
+    re-raised before it, the caller's own first.
 
     With a [retry] policy, failures its [classify] deems
     {!Lattol_robust.Retry.Transient} are re-attempted with exponential
@@ -98,10 +113,11 @@ val map :
     guided (roughly [remaining / (2 * workers)] each, down to single
     items at the tail).  [oversubscribe] lifts the {!available_cores}
     cap — only useful for tasks that park rather than compute.
-    [jobs < 1] is rejected; an effective pool of 1 runs in the calling
-    domain with no queue at all (the [monitor] still sees a one-worker
-    pool).  [deadline] is per attempt; without [on_poison], exhausted
-    transient failures propagate like fatal ones. *)
+    [jobs < 1] is rejected; an effective pool of 1 retires the crew's
+    idle members, then runs in the calling domain with no queue at all
+    (the [monitor] still sees a one-worker pool).  [deadline] is per
+    attempt; without [on_poison], exhausted transient failures propagate
+    like fatal ones. *)
 
 val map_ctx :
   ?chunk:int -> ?oversubscribe:bool -> ?monitor:monitor ->

@@ -9,8 +9,10 @@
      compute  executing a pool task (GC excluded)
      idle     inside the worker loop but between tasks (queue starvation;
               GC excluded)
-     spawn    outside the worker loop — domain spawn/join overhead and
-              any time before the worker claimed its first chunk
+     spawn    outside the worker loop: the pool keeps its domains
+              parked between maps, so this is mostly time parked there
+              (and before a worker's first claim), rarely spawn/join
+              cost; the bucket keeps its historical name
 
    The buckets partition the profiling window exactly, so
    gc + compute + idle + spawn = wall for every domain by construction:
@@ -275,8 +277,10 @@ let verdict_hint = function
     "domains wait on the work queue: too few or too-small tasks — batch \
      submissions or coarsen the chunking"
   | Spawn_bound ->
-    "domain spawn/join dominates: the workload is too short for this \
-     many domains — reuse the pool or lower --jobs"
+    "domains spend their time outside the worker loop, mostly parked \
+     between maps rather than spawning: too little of the run is \
+     parallel for this many domains — batch the work into fewer maps or \
+     lower --jobs"
   | Compute_bound ->
     "domains spend their time computing: parallel efficiency is limited \
      by the work itself, not the executor"

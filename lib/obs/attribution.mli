@@ -23,6 +23,9 @@ type split = {
   compute_ns : int64;
   idle_ns : int64;
   spawn_ns : int64;
+      (** outside the worker loop: the pool keeps its domains parked
+          between maps, so this is mostly time parked there, not
+          spawn/join cost *)
   tasks : int;
   gc_pauses : int;
   max_gc_pause_ns : int64;

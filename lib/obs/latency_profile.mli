@@ -36,11 +36,6 @@ val component_name : component -> string
 
 type t
 
-val create : unit -> t
-
-val add : t -> component -> float -> unit
-(** Record one span's duration against a component. *)
-
 val of_events : Events.t -> t
 (** Fold a whole recorded stream, classifying spans by name. *)
 

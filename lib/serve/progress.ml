@@ -53,16 +53,12 @@ let set_total t n = Atomic.set t.total_ n
 
 let step ?(n = 1) t = ignore (Atomic.fetch_and_add t.done_ n)
 
-let done_count t = Atomic.get t.done_
-
 let total t = Atomic.get t.total_
 
 let set_workers t n = Atomic.set t.workers n
 
 let worker_busy t b =
   ignore (Atomic.fetch_and_add t.busy (if b then 1 else -1))
-
-let busy_workers t = Atomic.get t.busy
 
 let set_queue_depth t n = Atomic.set t.queue_depth n
 

@@ -33,7 +33,6 @@ val phase : t -> string
 
 val set_total : t -> int -> unit
 val step : ?n:int -> t -> unit
-val done_count : t -> int
 val total : t -> int
 
 (** {1 Pool state} — normally driven by {!pool_monitor}. *)
@@ -42,9 +41,6 @@ val set_workers : t -> int -> unit
 val worker_busy : t -> bool -> unit
 (** [worker_busy t b] increments (true) / decrements (false) the busy
     count. *)
-
-val busy_workers : t -> int
-val set_queue_depth : t -> int -> unit
 
 val worker_times : t -> (int * float * float) list
 (** [(worker, busy_seconds, idle_seconds)] per worker seen so far, sorted

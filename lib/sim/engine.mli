@@ -30,9 +30,6 @@ val run : ?until:float -> t -> unit
 (** Processes events in time order until the queue empties or the clock
     would pass [until] (the clock then stops exactly at [until]). *)
 
-val step : t -> bool
-(** Processes one event; [false] if the queue was empty. *)
-
 val events_processed : t -> int
 
 val pending : t -> int

@@ -9,7 +9,9 @@ type t = {
   probs : float array array;
 }
 
-let build_row topo pattern p_remote src =
+(* [weights.(h) = p_sw ** h] for every hop count [h]: one [**] per
+   distance, shared by every row. *)
+let build_row topo pattern p_remote weights src =
   let p = Topology.num_nodes topo in
   let row = Array.make p 0. in
   row.(src) <- 1. -. p_remote;
@@ -21,24 +23,48 @@ let build_row topo pattern p_remote src =
       for dst = 0 to p - 1 do
         if dst <> src then row.(dst) <- share
       done
-    | Geometric p_sw ->
+    | Geometric _ ->
       let counts = Topology.distance_counts topo src in
       let d_max = Array.length counts - 1 in
       (* Normalizer over the distances that actually have nodes: on small or
          open networks some nominal distances may be empty. *)
       let a = ref 0. in
       for h = 1 to d_max do
-        if counts.(h) > 0 then a := !a +. (p_sw ** float_of_int h)
+        if counts.(h) > 0 then a := !a +. weights.(h)
       done;
       for dst = 0 to p - 1 do
         if dst <> src then begin
           let h = Topology.distance topo src dst in
-          let p_h = (p_sw ** float_of_int h) /. !a in
+          let p_h = weights.(h) /. !a in
           row.(dst) <- p_remote *. p_h /. float_of_int counts.(h)
         end
       done
   end;
   row
+
+(* Every row from node 0's.  On a vertex-transitive network each entry
+   depends only on the hop distance, and distance commutes with
+   translation: row [src] is [row0] read at [dst - src], the difference
+   taken coordinate-wise modulo each dimension, bit for bit what
+   [build_row] computes.  The offsets are computed here rather than read
+   from [Topology.subtract_table], whose P x P table would double the
+   words this build allocates. *)
+let translated topo row0 =
+  let p = Array.length row0 in
+  let dims = Array.of_list (Topology.dims topo) in
+  let coords = Array.init p (Topology.coords_nd topo) in
+  Array.init p (fun src ->
+      let row = Array.make p 0. in
+      for dst = 0 to p - 1 do
+        let off = ref 0 and stride = ref 1 in
+        for d = 0 to Array.length dims - 1 do
+          let x = coords.(dst).(d) - coords.(src).(d) in
+          off := !off + ((if x < 0 then x + dims.(d) else x) * !stride);
+          stride := !stride * dims.(d)
+        done;
+        row.(dst) <- row0.(!off)
+      done;
+      row)
 
 let validate_explicit topo m =
   let p = Topology.num_nodes topo in
@@ -87,7 +113,18 @@ let create topo pattern ~p_remote =
     if p_remote > 0. && Topology.num_nodes topo < 2 then
       invalid_arg "Access.create: remote accesses need at least two nodes";
     let p = Topology.num_nodes topo in
-    let probs = Array.init p (build_row topo pattern p_remote) in
+    let weights =
+      match pattern with
+      | Geometric p_sw ->
+        Array.init (Topology.max_distance topo + 1) (fun h ->
+            p_sw ** float_of_int h)
+      | Uniform | Explicit _ -> [||]
+    in
+    let row = build_row topo pattern p_remote weights in
+    let probs =
+      if Topology.is_vertex_transitive topo then translated topo (row 0)
+      else Array.init p row
+    in
     { topo; pattern; p_remote; probs }
 
 let topology t = t.topo

@@ -1361,6 +1361,35 @@ let prop_orbit_bit_identical =
         | Some ((field, a), (_, b)) ->
           QCheck.Test.fail_reportf "%s: orbit %s vs expanded %s" field a b)
 
+(* [arb_symmetric_params] widened to every kind of machine: meshes, and
+   explicit patterns (here the matrix of the built-in pattern, which is
+   invariant in content yet declared non-invariant). *)
+let arb_machine_params =
+  let open QCheck.Gen in
+  let gen =
+    let* p = QCheck.gen arb_symmetric_params in
+    let* topology = oneofl [ Topology.Torus; Topology.Mesh ] in
+    let p = { p with Params.topology } in
+    let* explicit = bool in
+    if explicit then
+      return
+        (Params.validate_exn
+           {
+             p with
+             Params.pattern =
+               Access.Explicit (Access.matrix (Params.make_access p));
+           })
+    else return p
+  in
+  QCheck.make ~print:(Format.asprintf "%a" Params.pp) gen
+
+let prop_symmetric_applicable_matches_access =
+  QCheck.Test.make
+    ~name:"symmetric_applicable = translation invariance of the built access"
+    ~count:300 arb_machine_params (fun p ->
+      Bool.equal (Mms.symmetric_applicable p)
+        (Access.is_translation_invariant (Params.make_access p)))
+
 (* ------------------------------------------------------------------ *)
 (* Properties *)
 
@@ -1680,7 +1709,9 @@ let () =
           Alcotest.test_case "allocation" `Quick test_orbit_allocation;
           Alcotest.test_case "one-node mesh" `Quick test_orbit_one_node_mesh;
         ]
-        @ qcheck [ prop_orbit_bit_identical ] );
+        @ qcheck
+            [ prop_orbit_bit_identical; prop_symmetric_applicable_matches_access ]
+      );
       ( "golden",
         [
           Alcotest.test_case "default solution" `Quick test_golden_default_solution;

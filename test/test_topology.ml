@@ -464,6 +464,68 @@ let prop_geometric_monotone_in_distance =
       done;
       !ok)
 
+(* Every entry of a built-in pattern's matrix, computed pair by pair
+   from its definition: the matrix must match it bit for bit, however
+   [Access.create] shares work between rows. *)
+let reference_prob t pattern ~p_remote ~src ~dst =
+  if src = dst then 1. -. p_remote
+  else if p_remote <= 0. then 0.
+  else
+    match pattern with
+    | Access.Uniform -> p_remote /. float_of_int (Topology.num_nodes t - 1)
+    | Access.Geometric p_sw ->
+      let counts = Topology.distance_counts t src in
+      let a = ref 0. in
+      for h = 1 to Array.length counts - 1 do
+        if counts.(h) > 0 then a := !a +. (p_sw ** float_of_int h)
+      done;
+      let h = Topology.distance t src dst in
+      p_remote *. ((p_sw ** float_of_int h) /. !a) /. float_of_int counts.(h)
+    | Access.Explicit _ -> invalid_arg "reference_prob: built-in patterns only"
+
+let prop_access_matches_reference =
+  let gen =
+    let open QCheck.Gen in
+    let* nd = int_range 1 3 in
+    let* dims = list_repeat nd (int_range 1 (if nd = 3 then 5 else 8)) in
+    let* kind = oneofl [ Topology.Torus; Topology.Torus; Topology.Mesh ] in
+    let t = Topology.create_nd kind ~dims in
+    let* p_remote =
+      if Topology.num_nodes t = 1 then return 0.
+      else oneof [ return 0.; return 1.; float_range 0. 1. ]
+    in
+    let* pattern =
+      oneof
+        [
+          return Access.Uniform;
+          map (fun s -> Access.Geometric s) (float_range 0.05 0.95);
+        ]
+    in
+    return (t, pattern, p_remote)
+  in
+  let print (t, pattern, p_remote) =
+    Format.asprintf "%a %s p_remote=%h" Topology.pp t
+      (match pattern with
+      | Access.Geometric s -> Printf.sprintf "geometric %h" s
+      | Access.Uniform -> "uniform"
+      | Access.Explicit _ -> "explicit")
+      p_remote
+  in
+  QCheck.Test.make ~name:"access matrix = per-pair reference, bit for bit"
+    ~count:300 (QCheck.make ~print gen) (fun (t, pattern, p_remote) ->
+      let a = Access.create t pattern ~p_remote in
+      let n = Topology.num_nodes t in
+      for src = 0 to n - 1 do
+        for dst = 0 to n - 1 do
+          let got = Access.prob a ~src ~dst
+          and want = reference_prob t pattern ~p_remote ~src ~dst in
+          if Int64.bits_of_float got <> Int64.bits_of_float want then
+            QCheck.Test.fail_reportf "entry (%d, %d): %h, reference %h" src
+              dst got want
+        done
+      done;
+      true)
+
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -526,5 +588,6 @@ let () =
             prop_route_length_is_distance;
             prop_access_rows_sum_to_one;
             prop_geometric_monotone_in_distance;
+            prop_access_matches_reference;
           ] );
     ]
