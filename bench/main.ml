@@ -792,20 +792,6 @@ let pipeline_ablation () =
         m.Measures.u_p m.Measures.s_obs)
     [ 1; 2; 4; 8 ]
 
-let optimizer_ablation () =
-  subsection
-    "A15: spending a hardware budget - exhaustive upgrade search at \
-     p_remote = 0.4 (costs: port 2, pipeline 3, S/2 4, L/2 4, SU 2)";
-  let base = { default with Params.p_remote = 0.4 } in
-  List.iter
-    (fun budget ->
-      let best =
-        Optimizer.best ~base ~budget (Optimizer.standard_upgrades ())
-      in
-      Format.printf "  budget %4g -> %a@." budget Optimizer.pp_configuration
-        best)
-    [ 0.; 2.; 4.; 6.; 8.; 12. ]
-
 let locality_ablation () =
   subsection
     "A17: locality sweep - tol_network vs p_sw at k = 10 (the knob behind \
@@ -901,7 +887,6 @@ let () =
   su_ablation ();
   hetero_ablation ();
   pipeline_ablation ();
-  optimizer_ablation ();
   locality_ablation ();
   mesh_ablation ();
   cache_ablation ();

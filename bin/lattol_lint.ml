@@ -9,8 +9,8 @@ open Lattol_lint
 
 let usage =
   "lattol_lint [options] [paths...]\n\
-   Walk OCaml sources (default roots: lib bin bench test tools examples)\n\
-   and report rule violations.  Options:"
+   Walk OCaml sources (default roots: lib bin bench test tools examples\n\
+   perfbench) and report rule violations.  Options:"
 
 let die fmt = Printf.ksprintf (fun s -> prerr_endline ("lattol-lint: " ^ s); exit 2) fmt
 
@@ -101,7 +101,7 @@ let () =
     match List.rev !paths with
     | [] ->
       List.filter Sys.file_exists
-        [ "lib"; "bin"; "bench"; "test"; "tools"; "examples" ]
+        [ "lib"; "bin"; "bench"; "test"; "tools"; "examples"; "perfbench" ]
     | ps -> ps
   in
   if roots = [] then die "no source roots found (run from the repo root?)";

@@ -44,10 +44,6 @@ val runlength : t -> n_t:int -> float
     [cycles_per_access / miss_rate].  Decreases as threads crowd the
     cache. *)
 
-val apply : t -> base:Params.t -> n_t:int -> Params.t
-(** The base machine with [n_t] threads and the contention-adjusted
-    runlength. *)
-
 type point = {
   n_t : int;
   effective_runlength : float;

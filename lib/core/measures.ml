@@ -30,7 +30,3 @@ let pp ppf t =
     t.lambda t.lambda_net t.s_obs t.l_obs t.cycle_time t.util_memory
     t.util_switch_in t.util_switch_out t.util_sync t.queue_processor
     t.queue_memory t.queue_network
-
-let pp_row ppf t =
-  Fmt.pf ppf "%8.4f %8.4f %8.4f %8.3f %8.3f" t.u_p t.lambda t.lambda_net
-    t.s_obs t.l_obs

@@ -42,6 +42,3 @@ val system_throughput : t -> num_processors:int -> float
     paper's Figure 10 plots [P * U_p], proportional to this for fixed R). *)
 
 val pp : Format.formatter -> t -> unit
-
-val pp_row : Format.formatter -> t -> unit
-(** One-line tabular form used by the benchmark harness. *)

@@ -28,8 +28,6 @@ type t = {
 
 val analyze : ?solver:Mms.solver -> Params.t -> t
 
-val verdict_to_string : verdict -> string
-
 val pp : Format.formatter -> t -> unit
 (** Multi-section human-readable report (what the CLI's [report] command
     prints). *)

@@ -54,24 +54,21 @@ val of_measures :
 (** Form the index from measures that are already in hand — the real and
     ideal systems' solutions, however they were obtained (a shared solve, a
     cache hit, a simulation).  No solver runs.  [ideal_method] is recorded
-    in the report only; it defaults as in {!index}. *)
-
-val index :
-  ?solver:Mms.solver -> ?ideal_method:ideal_method -> ?real:Measures.t ->
-  subsystem -> Params.t -> report
-(** Solve both systems and form the index.  [ideal_method] defaults to
-    [Zero_remote] for the network (the paper's preference) and
-    [Zero_delay] for memory.  [real], when given, supplies the real
-    system's measures so only the ideal system is solved — callers that
-    already solved [p] (a sweep point, say) avoid the redundant solve. *)
+    in the report only; it defaults to [Zero_remote] for the network and
+    [Zero_delay] for memory. *)
 
 val network :
   ?solver:Mms.solver -> ?ideal_method:ideal_method -> ?real:Measures.t ->
   Params.t -> report
-(** [index Network_latency]. *)
+(** Solve the real and ideal systems and form the network tolerance
+    index; [ideal_method] defaults to [Zero_remote] (the paper's
+    preference).  [real], when given, supplies the real system's measures
+    so only the ideal system is solved — callers that already solved [p]
+    (a sweep point, say) avoid the redundant solve. *)
 
 val memory : ?solver:Mms.solver -> ?real:Measures.t -> Params.t -> report
-(** [index Memory_latency]. *)
+(** The memory tolerance index, against the [Zero_delay] ideal; [real] as
+    in {!network}. *)
 
 val threads_needed :
   ?solver:Mms.solver -> ?ideal_method:ideal_method -> ?target:float ->

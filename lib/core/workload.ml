@@ -143,11 +143,6 @@ module Grid = struct
     work_per_access : float;
   }
 
-  let decomposition_to_string = function
-    | Row_blocks -> "row-blocks"
-    | Row_cyclic -> "row-cyclic"
-    | Blocks -> "2d-blocks"
-
   let validate ~base g =
     let err fmt = Format.kasprintf (fun s -> Error s) fmt in
     let p = Params.num_processors base in

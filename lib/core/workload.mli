@@ -108,12 +108,8 @@ module Grid : sig
 
   val characterize : t -> base:Params.t -> characterization
 
-  val to_params : ?n_t:int -> base:Params.t -> t -> Params.t
-
   val compare_decompositions :
     ?n_t:int -> base:Params.t -> rows:int -> cols:int ->
     stencil:(int * int) list -> work_per_access:float -> decomposition list ->
     (decomposition * characterization * Measures.t * float) list
-
-  val decomposition_to_string : decomposition -> string
 end

@@ -136,8 +136,6 @@ let create ?dir () =
     corrupt;
   }
 
-let directory t = t.dir
-
 let stats t =
   Mutex.lock t.lock;
   let s =

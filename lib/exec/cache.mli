@@ -58,8 +58,6 @@ val create : ?dir:string -> unit -> t
     in-memory only and still deduplicates within the run.  Never
     raises on a missing or unreadable log: it simply misses. *)
 
-val directory : t -> string option
-
 val key : solver_id:string -> Params.t -> string
 (** Canonical content hash (hex) of the configuration under [solver_id]
     (use {!Mms.solver_label} of the {e resolved} solver, so an explicit

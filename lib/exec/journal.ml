@@ -30,8 +30,6 @@ type t = {
   on_record : int -> unit;
 }
 
-let path t = t.path
-
 let entries t = t.entries
 
 let replayed t = List.length t.entries

@@ -97,6 +97,4 @@ val map :
     its point id and name) and each commit records a run-level
     ["journal"] span.  Results are identical either way. *)
 
-val path : t -> string
-
 val close : t -> unit

@@ -9,10 +9,6 @@
 
 open Lattol_core
 
-val streams : seed:int -> int -> Lattol_stats.Prng.t list
-(** [streams ~seed n]: the [n] independent streams replication fan-out
-    uses, in replication order. *)
-
 type 'a summary = {
   results : 'a list;  (** per-replication results, in replication order *)
   u_p_ci : (float * float) option;

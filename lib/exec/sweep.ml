@@ -14,9 +14,6 @@ let param_name = function
   | L_mem -> "l_mem"
   | S_switch -> "s_switch"
 
-let param_of_string s =
-  List.find_opt (fun p -> param_name p = s) all_params
-
 let apply p param v =
   match param with
   | P_remote -> { p with Params.p_remote = v }

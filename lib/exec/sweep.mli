@@ -21,8 +21,6 @@ val param_name : param -> string
 (** CLI / CSV spelling: ["p_remote"], ["n_t"], ["runlength"], ["k"],
     ["p_sw"], ["l_mem"], ["s_switch"]. *)
 
-val param_of_string : string -> param option
-
 val apply : Params.t -> param -> float -> Params.t
 (** Substitute one swept value into a parameter record.  Integer
     parameters ([N_t], [K]) round to nearest; [P_sw] installs a
@@ -66,10 +64,6 @@ val encode_row : row -> string
     (three {!Cache.encode_measures_line} encodings — the tolerance reports
     are recomputed from them on restore, bit-identically) or
     ["err <escaped message>"] for a validation/poisoned row. *)
-
-val decode_row : (param * float) list -> string -> row option
-(** Inverse of {!encode_row} for the given grid point; [None] on any
-    malformed payload (the point is then simply recomputed). *)
 
 val run :
   ?solver:Mms.solver ->

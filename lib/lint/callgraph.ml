@@ -30,7 +30,10 @@ type t = {
   unit_name : string;
   file : string;
   fns : fn list;
+  uses : string list;
 }
+
+type export = { e_id : string; e_file : string; e_pos : pos }
 
 (* ------------------------------------------------------------------ *)
 (* Path resolution: syntactic value paths, normalized so that the same
@@ -206,7 +209,9 @@ let has_attr name attrs =
 type state = {
   unit_name : string;
   file : string;
-  aliases : (string * string list) list;
+  mutable aliases : (string * string list) list;
+  mutable opens : string list list;  (* modules opened in scope *)
+  uses : string list ref;  (* names used without a call edge, reverse order *)
   out : fn list ref;  (* completed nodes, reverse order *)
 }
 
@@ -244,6 +249,10 @@ let nolabel_args args =
     (fun (l, a) -> match l with Asttypes.Nolabel -> Some a | _ -> None)
     args
 
+let is_name s =
+  s <> "" && (s.[0] = '_' || (s.[0] >= 'a' && s.[0] <= 'z')
+              || (s.[0] >= 'A' && s.[0] <= 'Z'))
+
 let rec walk st coll e =
   let loc = pos_of e.pexp_loc in
   let alloc what =
@@ -252,13 +261,20 @@ let rec walk st coll e =
   in
   match e.pexp_desc with
   | Pexp_ident { txt; _ } -> (
-    match normalize st.aliases (flatten txt) with
+    let raw = flatten txt in
+    (* Under [open M] a name may also be [M.name].  That reading is a
+       use (dead-export stays quiet), never a call edge. *)
+    if raw <> [] && is_name (List.hd raw) then
+      List.iter
+        (fun o ->
+          st.uses :=
+            String.concat "." (normalize st.aliases (o @ raw)) :: !(st.uses))
+        st.opens;
+    match normalize st.aliases raw with
     | [] -> ()
     | segs ->
-      let head = List.hd segs in
       (* operators and module-path heads are never call edges to skip *)
-      if head <> "" && (head.[0] = '_' || (head.[0] >= 'a' && head.[0] <= 'z')
-                        || (head.[0] >= 'A' && head.[0] <= 'Z')) then
+      if is_name (List.hd segs) then
         coll.calls <- (String.concat "." segs, loc) :: coll.calls)
   | Pexp_apply (fn, args) -> walk_apply st coll e fn args
   | Pexp_fun _ | Pexp_function _ ->
@@ -340,9 +356,25 @@ let rec walk st coll e =
     walk st coll a;
     walk st coll b
   | Pexp_constraint (e, _) | Pexp_coerce (e, _, _) | Pexp_newtype (_, e)
-  | Pexp_open (_, e) | Pexp_letexception (_, e) ->
+  | Pexp_letexception (_, e) ->
     walk st coll e
+  | Pexp_open ({ popen_expr = { pmod_desc = Pmod_ident m; _ }; _ }, e) ->
+    (* [M.( ... )] and [let open M in]: only a module path is followed *)
+    let saved = st.opens in
+    st.opens <- flatten m.txt :: saved;
+    walk st coll e;
+    st.opens <- saved
+  | Pexp_open (_, e) -> walk st coll e
+  | Pexp_letmodule ({ txt = Some name; _ }, { pmod_desc = Pmod_ident m; _ },
+                    body) ->
+    let saved = st.aliases in
+    st.aliases <- (name, normalize st.aliases (flatten m.txt)) :: saved;
+    walk st coll body;
+    st.aliases <- saved
   | Pexp_letmodule (_, _, body) -> walk st coll body
+  | Pexp_letop { let_; ands; body } ->
+    List.iter (fun b -> walk st coll b.pbop_exp) (let_ :: ands);
+    walk st coll body
   | Pexp_variant (_, arg) -> Option.iter (walk st coll) arg
   | Pexp_construct (_, arg) -> Option.iter (walk st coll) arg
   | Pexp_assert e | Pexp_send (e, _) -> walk st coll e
@@ -377,6 +409,7 @@ and walk_apply st coll e fn args =
        captured) on pool/spawned domains.  Collect it as a synthetic
        root node hanging off the enclosing function. *)
     coll.par_count <- coll.par_count + 1;
+    st.uses := String.concat "." p :: !(st.uses);
     let sub = new_coll () in
     List.iter (fun (_, a) -> walk st sub a) args;
     let id = par_id st loc in
@@ -512,9 +545,14 @@ let binding_name vb =
   match of_pat vb.pvb_pat with Some "" | None -> None | s -> s
 
 let rec scan_structure st prefix items =
+  let saved = st.opens in
   List.iter
     (fun item ->
       match item.pstr_desc with
+      | Pstr_open od -> (
+        match od.popen_expr.pmod_desc with
+        | Pmod_ident { txt; _ } -> st.opens <- flatten txt :: st.opens
+        | _ -> ())
       | Pstr_value (_, vbs) ->
         List.iter
           (fun vb ->
@@ -553,7 +591,8 @@ let rec scan_structure st prefix items =
             ~pos:(pos_of item.pstr_loc) ~arity:0 ~keyword_args:false
             ~hot:false ~par_root:false
       | _ -> ())
-    items
+    items;
+  st.opens <- saved
 
 let module_aliases items =
   List.filter_map
@@ -575,6 +614,29 @@ let unit_name_of_file file =
 
 let summarize ~file str =
   let unit_name = unit_name_of_file file in
-  let st = { unit_name; file; aliases = module_aliases str; out = ref [] } in
+  let st =
+    { unit_name; file; aliases = module_aliases str; opens = [];
+      uses = ref []; out = ref [] }
+  in
   scan_structure st "" str;
-  { unit_name; file; fns = List.rev !(st.out) }
+  { unit_name; file; fns = List.rev !(st.out);
+    uses = List.sort_uniq String.compare !(st.uses) }
+
+(* Every [val] (or [external]) of an interface, nested [module X : sig
+   ... end] signatures included, named as the call graph names it. *)
+let exports ~file sg =
+  let rec go prefix acc items =
+    List.fold_left
+      (fun acc item ->
+        match item.psig_desc with
+        | Psig_value vd ->
+          { e_id = prefix ^ vd.pval_name.txt; e_file = file;
+            e_pos = pos_of vd.pval_loc }
+          :: acc
+        | Psig_module { pmd_name = { txt = Some m; _ };
+                        pmd_type = { pmty_desc = Pmty_signature sg; _ }; _ } ->
+          go (prefix ^ m ^ ".") acc sg
+        | _ -> acc)
+      acc items
+  in
+  List.rev (go (unit_name_of_file file ^ ".") [] sg)

@@ -56,10 +56,23 @@ type t = {
   unit_name : string;
   file : string;
   fns : fn list;
+  uses : string list;
+      (** names the unit uses that are not call edges, sorted: the spawn
+          points it calls, and the [M.]-qualified reading of every name
+          under an [open M] ([open M], [M.( ... )], [let open M in]);
+          [dead-export] counts them as uses *)
 }
+
+type export = { e_id : string; e_file : string; e_pos : pos }
+(** One [val] (or [external]) of an interface, ["Unit.path"] as
+    {!fn.id} names it. *)
 
 val unit_name_of_file : string -> string
 (** Capitalized basename without extension. *)
 
 val summarize : file:string -> Parsetree.structure -> t
 (** Deterministic: depends only on [file] and the structure. *)
+
+val exports : file:string -> Parsetree.signature -> export list
+(** The interface's values in source order, those of nested
+    [module X : sig ... end] signatures included. *)

@@ -151,13 +151,17 @@ let run ~config ?baseline ~roots () =
   let enabled r = Lint_config.enabled config r in
   let naked = ref [] in  (* findings with no suppression context *)
   let units = ref [] in
+  let exports = ref [] in
   List.iter
     (fun file ->
       let path = Lint_config.normalize file in
       if Filename.check_suffix file ".mli" then begin
-        (* Interfaces carry no expressions; parsing them still catches rot. *)
         match Pparse.parse_interface ~tool_name:"lattol-lint" file with
-        | _ -> ()
+        | sg ->
+          (* a library's interface is its exports, which dead-export
+             checks against every root's references *)
+          if Rules.in_dir path [ "lib" ] then
+            exports := Callgraph.exports ~file:path sg :: !exports
         | exception exn -> naked := parse_error_finding ~file:path exn :: !naked
       end
       else
@@ -223,7 +227,9 @@ let run ~config ?baseline ~roots () =
   let globals =
     List.concat_map (fun u -> Mutstate.scan ~file:u.u_path u.u_str) units
   in
-  let program = Reach.build summaries globals in
+  let program =
+    Reach.build ~exports:(List.concat (List.rev !exports)) summaries globals
+  in
   Reach.analyze program ~enabled
     ~report:(fun ~rule ~file ~pos ~message ->
       add
@@ -237,20 +243,18 @@ let run ~config ?baseline ~roots () =
           hint = hint_of rule;
         });
   (* Suppression: [@lattol.allow] ranges of the carrying file apply to
-     phase-1 and phase-2 findings alike. *)
+     phase-1 and phase-2 findings alike.  Interfaces carry none. *)
+  let allows = Hashtbl.create 64 in
+  List.iter (fun u -> Hashtbl.replace allows u.u_path u.u_allows) units;
   let findings, suppressed =
-    List.fold_left
-      (fun (fs, n) u ->
-        match Hashtbl.find_opt raw u.u_path with
-        | None -> (fs, n)
-        | Some cell ->
-          let kept, dropped =
-            List.partition
-              (fun f -> not (Rules.suppressed u.u_allows f))
-              !cell
-          in
-          (kept @ fs, n + List.length dropped))
-      (!naked, 0) units
+    Hashtbl.fold
+      (fun path cell (fs, n) ->
+        let allows = Option.value ~default:[] (Hashtbl.find_opt allows path) in
+        let kept, dropped =
+          List.partition (fun f -> not (Rules.suppressed allows f)) !cell
+        in
+        (kept @ fs, n + List.length dropped))
+      raw (!naked, 0)
   in
   (* Baseline: demote accepted findings, surface stale entries. *)
   let findings, baselined =

@@ -25,11 +25,6 @@ type result = {
   stats : stats;
 }
 
-val walk : Lint_config.t -> string list -> string list
-(** Expand roots (files or directories) into the sorted list of source
-    files, honoring the config's excludes and skipping [_build] and
-    dot-directories.  Raises [Sys_error] on a nonexistent root. *)
-
 (** {1 Baseline accept-list} *)
 
 type baseline

@@ -26,7 +26,6 @@ type kind =
   | Lock
 
 val kind_name : kind -> string
-val kind_protected : kind -> bool
 
 type global = {
   id : string;           (** ["Unit.path"], same key space as {!Callgraph} *)

@@ -8,9 +8,28 @@ module Sset = Set.Make (String)
 type program = {
   fns : Callgraph.fn Smap.t;          (* id -> node (duplicates merged) *)
   globals : Mutstate.global Smap.t;   (* id -> global *)
+  exports : Callgraph.export list;
+  used : Sset.t;  (* "Unit.path" named by some other unit *)
 }
 
-let build summaries globals =
+(* Every path a unit names, calls and {!Callgraph.t.uses} alike, that
+   starts with another unit's name. *)
+let uses summaries =
+  List.fold_left
+    (fun acc (s : Callgraph.t) ->
+      let add acc path =
+        match String.index_opt path '.' with
+        | Some i when String.sub path 0 i <> s.unit_name -> Sset.add path acc
+        | _ -> acc
+      in
+      let acc = List.fold_left add acc s.uses in
+      List.fold_left
+        (fun acc (f : Callgraph.fn) ->
+          List.fold_left (fun acc (path, _) -> add acc path) acc f.calls)
+        acc s.fns)
+    Sset.empty summaries
+
+let build ?(exports = []) summaries globals =
   let fns =
     List.fold_left
       (fun m (s : Callgraph.t) ->
@@ -39,7 +58,7 @@ let build summaries globals =
       (fun m (g : Mutstate.global) -> Smap.add g.Mutstate.id g m)
       Smap.empty globals
   in
-  { fns; globals }
+  { fns; globals; exports; used = uses summaries }
 
 (* Resolve a reference [path] made from inside [unit_name]: a definition
    in the referencing unit shadows a unit of the same name. *)
@@ -144,6 +163,15 @@ let mutated_anywhere p =
     p.fns Sset.empty
 
 let analyze p ~enabled ~(report : reporter) =
+  if enabled "dead-export" then
+    List.iter
+      (fun (e : Callgraph.export) ->
+        if not (Sset.mem e.e_id p.used) then
+          report ~rule:"dead-export" ~file:e.e_file ~pos:e.e_pos
+            ~message:
+              (Printf.sprintf "%s is exported but no other unit uses it"
+                 e.e_id))
+      p.exports;
   let par = parallel_region p in
   let hot = hot_region p in
   let writers = mutated_anywhere p in

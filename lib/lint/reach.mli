@@ -14,22 +14,21 @@
     - [det-prng-unsplit] — a shared toplevel [Prng] stream advanced from
       the parallel region (split streams per task instead);
     - [hot-alloc] — per-iteration allocation (closure, tuple, record,
-      list, array, partial application) in the hot region. *)
+      list, array, partial application) in the hot region;
+    - [dead-export] — an interface value ([build]'s [exports]) that no
+      other unit names, directly, through a module alias or under an
+      [open]. *)
 
 type program
 
-val build : Callgraph.t list -> Mutstate.global list -> program
+val build :
+  ?exports:Callgraph.export list -> Callgraph.t list -> Mutstate.global list ->
+  program
 
 val closure : edges:(string * string list) list -> roots:string list -> string list
 (** Pure reachability over an explicit adjacency list; returns the
     sorted set of nodes reachable from [roots] (roots included).
     Exposed for the determinism/monotonicity property tests. *)
-
-val parallel_roots : program -> string list
-val hot_roots : program -> string list
-
-val parallel_region : program -> Set.Make(String).t
-val hot_region : program -> Set.Make(String).t
 
 type reporter =
   rule:string ->

@@ -155,6 +155,16 @@ let metas =
          against the causal trace; only the structured logger itself \
          writes stderr directly";
     };
+    {
+      id = "dead-export";
+      family = "hygiene";
+      summary =
+        "library interface value that no other unit references (tests, \
+         benchmarks, examples and tools included)";
+      hint =
+        "delete the val from the .mli, and its definition too if its own \
+         unit does not use it; code nothing runs is code nobody checks";
+    };
   ]
 
 let rule_ids = List.map (fun m -> m.id) metas

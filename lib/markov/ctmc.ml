@@ -8,8 +8,6 @@ let create n =
   if n < 1 then invalid_arg "Ctmc.create: need at least one state";
   { n; outgoing = Array.init n (fun _ -> Hashtbl.create 4) }
 
-let num_states t = t.n
-
 let check_state t s name =
   if s < 0 || s >= t.n then
     Format.kasprintf invalid_arg "Ctmc: %s state %d out of range [0, %d)" name
@@ -78,68 +76,6 @@ let steady_state ?(tolerance = 1e-12) ?(max_iterations = 100_000) t =
     Format.kasprintf failwith
       "Ctmc.steady_state: no convergence after %d iterations" max_iterations;
   pi
-
-let transient ?(epsilon = 1e-10) t ~initial ~time =
-  if Array.length initial <> t.n then
-    invalid_arg "Ctmc.transient: initial distribution size mismatch";
-  if time < 0. then invalid_arg "Ctmc.transient: negative time";
-  let total = Array.fold_left ( +. ) 0. initial in
-  if abs_float (total -. 1.) > 1e-9 then
-    invalid_arg "Ctmc.transient: initial distribution must sum to 1";
-  if Float.equal time 0. then Array.copy initial
-  else begin
-    (* Uniformization rate: a hair above the largest exit rate. *)
-    let lambda = ref 0. in
-    for s = 0 to t.n - 1 do
-      let e = exit_rate t s in
-      if e > !lambda then lambda := e
-    done;
-    if Float.equal !lambda 0. then Array.copy initial
-    else begin
-      let lambda = !lambda *. 1.02 in
-      (* One step of the uniformized DTMC: v P where
-         P = I + Q / lambda. *)
-      let step v =
-        let out = Array.make t.n 0. in
-        for s = 0 to t.n - 1 do
-          if v.(s) > 0. then begin
-            let stay = 1. -. (exit_rate t s /. lambda) in
-            out.(s) <- out.(s) +. (v.(s) *. stay);
-            Hashtbl.iter
-              (fun dst r -> out.(dst) <- out.(dst) +. (v.(s) *. r /. lambda))
-              t.outgoing.(s)
-          end
-        done;
-        out
-      in
-      let result = Array.make t.n 0. in
-      let v = ref (Array.copy initial) in
-      (* Poisson(lambda t) weights computed iteratively; stop when the
-         accumulated mass reaches 1 - epsilon. *)
-      let lt = lambda *. time in
-      let weight = ref (exp (-.lt)) in
-      let accumulated = ref 0. in
-      let k = ref 0 in
-      (* Guard against underflow of the k = 0 term for large lt: scale by
-         tracking log-weight instead when needed. *)
-      let log_weight = ref (-.lt) in
-      while !accumulated < 1. -. epsilon && !k < 100_000 do
-        weight := exp !log_weight;
-        if !weight > 0. then begin
-          accumulated := !accumulated +. !weight;
-          for s = 0 to t.n - 1 do
-            result.(s) <- result.(s) +. (!weight *. !v.(s))
-          done
-        end;
-        incr k;
-        log_weight := !log_weight +. log (lt /. float_of_int !k);
-        v := step !v
-      done;
-      (* Renormalize the truncated expansion. *)
-      let mass = Array.fold_left ( +. ) 0. result in
-      if mass > 0. then Array.map (fun x -> x /. mass) result else result
-    end
-  end
 
 let expected t ~pi ~f =
   if Array.length pi <> t.n then invalid_arg "Ctmc.expected: pi size mismatch";

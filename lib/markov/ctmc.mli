@@ -9,8 +9,6 @@ type t
 val create : int -> t
 (** [create n] is a chain with states [0 .. n-1] and no transitions. *)
 
-val num_states : t -> int
-
 val add_rate : t -> src:int -> dst:int -> float -> unit
 (** Adds to the transition rate [src -> dst].  [src <> dst], rate >= 0.
     Accumulates if called twice for the same pair. *)
@@ -25,14 +23,6 @@ val steady_state : ?tolerance:float -> ?max_iterations:int -> t -> float array
     Gauss-Seidel sweeps with normalization.  Requires the chain to be
     irreducible over the states reachable from state 0; raises [Failure] if
     the iteration does not converge. *)
-
-val transient :
-  ?epsilon:float -> t -> initial:float array -> time:float -> float array
-(** [transient t ~initial ~time] is the state distribution after [time]
-    units starting from [initial], by uniformization (Jensen's method):
-    the Poisson-weighted powers of the uniformized DTMC, truncated when
-    the remaining Poisson mass falls below [epsilon] (default 1e-10).
-    Used to study warm-up transients exactly on small models. *)
 
 val expected : t -> pi:float array -> f:(int -> float) -> float
 (** [expected t ~pi ~f] is [sum_i pi.(i) * f i]. *)

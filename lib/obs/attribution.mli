@@ -64,6 +64,4 @@ val idle_fraction : split -> float
 val spawn_fraction : split -> float
 
 val verdict_string : verdict -> string
-val verdict_hint : verdict -> string
-val pp_split : Format.formatter -> split -> unit
 val pp_report : Format.formatter -> report -> unit

@@ -93,10 +93,3 @@ let write_chrome t oc =
            (Jsonu.escape s.name) (Jsonu.escape s.cat) (Jsonu.number s.t0)
            (Jsonu.number s.dur) s.pid s.track));
   output_string oc "\n],\"displayTimeUnit\":\"ms\"}\n"
-
-let write_jsonl t oc =
-  iter t (fun s ->
-      Printf.fprintf oc
-        "{\"pid\":%d,\"tid\":%d,\"name\":\"%s\",\"cat\":\"%s\",\"ts\":%s,\"dur\":%s}\n"
-        s.pid s.track (Jsonu.escape s.name) (Jsonu.escape s.cat)
-        (Jsonu.number s.t0) (Jsonu.number s.dur))

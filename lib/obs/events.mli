@@ -52,7 +52,3 @@ val write_chrome : t -> out_channel -> unit
     ("ph":"X") event per span and metadata events for the process/track
     names.  One event per line, so the file is both a valid JSON document
     and line-greppable. *)
-
-val write_jsonl : t -> out_channel -> unit
-(** One JSON object per line: [{"pid":..,"tid":..,"name":..,"cat":..,
-    "ts":..,"dur":..}]. *)

@@ -28,12 +28,6 @@ type component =
   | Network_trip
   | Other
 
-val component_of_span_name : string -> component
-(** Maps the span names {!Lattol_sim.Mms_des} emits ("compute",
-    "switch-queue", ...); unknown names fold into [Other]. *)
-
-val component_name : component -> string
-
 type t
 
 val of_events : Events.t -> t

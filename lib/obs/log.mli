@@ -1,10 +1,11 @@
-(** Leveled structured logging: one JSON object per line, carrying trace
-    ids, so the [-v] diagnostics stream is machine-joinable against the
-    causal trace instead of being freeform [Printf] noise.
+(** Leveled structured logging: one JSON object per line, optionally
+    carrying a trace id, so the [-v] diagnostics stream is machine-readable
+    (and joinable against a causal trace) instead of being freeform
+    [Printf] noise.
 
     Lines look like
-    [{"ts":1754640000.123456,"level":"info","src":"lattol.supervisor",
-      "trace":"sweep-184f3c/3:n_t=4","msg":"rung accepted","solver":"amva"}]
+    [{"ts":1754640000.123456,"level":"debug","src":"lattol.supervisor",
+      "msg":"rung 1 accepted: symmetric converged","iterations":"57"}]
     and go to [stderr] (never [stdout] — experiment output stays
     byte-identical).  Logging is off by default; {!set_level} gates it.
     Emission is mutex-serialized, so lines from parallel domains never
@@ -25,13 +26,6 @@ val enabled : level -> bool
 val set_channel : out_channel -> unit
 (** Redirect output (default [stderr]).  Tests point this at a buffer
     file. *)
-
-val logf :
-  ?trace:string -> ?fields:(string * string) list -> level ->
-  src:string -> ('a, unit, string, unit) format4 -> 'a
-(** [logf ~trace Info ~src "fmt" ...] emits one JSONL record.  [trace]
-    is a trace or point-trace id ({!Trace_ctx.point_trace_id});
-    [fields] adds extra string-valued keys. *)
 
 val debugf :
   ?trace:string -> ?fields:(string * string) list -> src:string ->

@@ -6,14 +6,6 @@ type counter = int ref
 
 type gauge = float ref
 
-type twa = {
-  mutable first : float;
-  mutable last_t : float;
-  mutable last_v : float;
-  mutable integral : float;
-  mutable started : bool;
-}
-
 type exemplar = { e_trace : string; e_value : float }
 
 (* Exemplar cells: one per bin plus [bins] (underflow) and [bins + 1]
@@ -24,7 +16,6 @@ type histogram = { h : Histogram.t; ex : exemplar option array }
 type value =
   | Counter of counter
   | Gauge of gauge
-  | Twa of twa
   | Hist of histogram
 
 type entry = { name : string; labels : labels; help : string; value : value }
@@ -62,30 +53,6 @@ let set_gauge g v = g := v
 
 let gauge_value g = !g
 
-let time_weighted t ?(labels = []) ?(help = "") name =
-  let w =
-    { first = 0.; last_t = 0.; last_v = 0.; integral = 0.; started = false }
-  in
-  register t ~name ~labels ~help (Twa w);
-  w
-
-let observe_twa w ~now v =
-  if not w.started then begin
-    w.started <- true;
-    w.first <- now
-  end
-  else begin
-    if now < w.last_t then
-      invalid_arg "Metrics.observe_twa: time went backwards";
-    w.integral <- w.integral +. (w.last_v *. (now -. w.last_t))
-  end;
-  w.last_t <- now;
-  w.last_v <- v
-
-let twa_value w =
-  let span = w.last_t -. w.first in
-  if span <= 0. then nan else w.integral /. span
-
 let histogram t ?(labels = []) ?(help = "") ?(lo = 0.) ~hi ~bins name =
   let h =
     { h = Histogram.create ~lo ~hi ~bins (); ex = Array.make (bins + 2) None }
@@ -118,12 +85,11 @@ let size t = List.length t.entries
 let entries t = List.rev t.entries
 
 (* ------------------------------------------------------------------ *)
-(* Snapshots and merging *)
+(* Snapshots *)
 
 type snap_value =
   | Counter_v of int
   | Gauge_v of float
-  | Twa_v of float
   | Hist_v of Histogram.t * exemplar option array
 
 type series = {
@@ -138,7 +104,6 @@ type snapshot = series list
 let snap_value = function
   | Counter c -> Counter_v !c
   | Gauge g -> Gauge_v !g
-  | Twa w -> Twa_v (twa_value w)
   | Hist hist -> Hist_v (Histogram.copy hist.h, Array.copy hist.ex)
 
 (* Reading [t.entries] is a single pointer load and the cells behind it
@@ -153,85 +118,12 @@ let snapshot t =
         s_value = snap_value e.value })
     (entries t)
 
-let copy_value = function
-  | Counter c -> Counter (ref !c)
-  | Gauge g -> Gauge (ref !g)
-  | Twa w -> Twa { w with started = w.started }
-  | Hist hist -> Hist { h = Histogram.copy hist.h; ex = Array.copy hist.ex }
-
-(* Span-weighted combination: integrals and observed spans both add, so
-   the merged average is (Ia + Ib) / (Sa + Sb), independent of order. *)
-let merge_twa a b =
-  match (a.started, b.started) with
-  | _, false -> { a with started = a.started }
-  | false, true -> { b with started = true }
-  | true, true ->
-    let span_a = a.last_t -. a.first and span_b = b.last_t -. b.first in
-    {
-      first = 0.;
-      last_t = span_a +. span_b;
-      last_v = b.last_v;
-      integral = a.integral +. b.integral;
-      started = true;
-    }
-
-let merged_value name va vb =
-  match (va, vb) with
-  | Counter a, Counter b -> Counter (ref (!a + !b))
-  | Gauge a, Gauge b -> Gauge (ref (if Float.is_nan !b then !a else !b))
-  | Twa a, Twa b -> Twa (merge_twa a b)
-  | Hist a, Hist b ->
-    (* Exemplars: last write wins, so the right operand's cell shadows
-       the left's where both are present. *)
-    let ex =
-      Array.init
-        (max (Array.length a.ex) (Array.length b.ex))
-        (fun i ->
-          let cell arr = if i < Array.length arr then arr.(i) else None in
-          match cell b.ex with Some e -> Some e | None -> cell a.ex)
-    in
-    Hist { h = Histogram.merge a.h b.h; ex }
-  | _ -> Format.kasprintf invalid_arg "Metrics.merge: kind mismatch on %s" name
-
-let merge a b =
-  let t = create () in
-  let b_entries = entries b in
-  let in_a e' =
-    List.exists
-      (fun e -> e.name = e'.name && e.labels = e'.labels)
-      (entries a)
-  in
-  List.iter
-    (fun e ->
-      let help = ref e.help in
-      let value =
-        match
-          List.find_opt
-            (fun e' -> e'.name = e.name && e'.labels = e.labels)
-            b_entries
-        with
-        | None -> copy_value e.value
-        | Some e' ->
-          if !help = "" then help := e'.help;
-          merged_value e.name e.value e'.value
-      in
-      register t ~name:e.name ~labels:e.labels ~help:!help value)
-    (entries a);
-  List.iter
-    (fun e' ->
-      if not (in_a e') then
-        register t ~name:e'.name ~labels:e'.labels ~help:e'.help
-          (copy_value e'.value))
-    b_entries;
-  t
-
 (* ------------------------------------------------------------------ *)
 (* Sinks *)
 
 let snap_kind_string = function
   | Counter_v _ -> "counter"
   | Gauge_v _ -> "gauge"
-  | Twa_v _ -> "twa"
   | Hist_v _ -> "histogram"
 
 let json_labels labels =
@@ -259,7 +151,6 @@ let buf_json_snapshot b snap =
       (match s.s_value with
       | Counter_v c -> Printf.bprintf b ",\"value\":%d" c
       | Gauge_v g -> Printf.bprintf b ",\"value\":%s" (Jsonu.number g)
-      | Twa_v w -> Printf.bprintf b ",\"value\":%s" (Jsonu.number w)
       | Hist_v (h, ex) ->
         Printf.bprintf b
           ",\"count\":%d,\"underflow\":%d,\"overflow\":%d,\"p50\":%s,\"p90\":%s,\"p99\":%s,\"counts\":["
@@ -323,7 +214,6 @@ let write_csv_snapshot snap oc =
       match s.s_value with
       | Counter_v c -> row "value" (string_of_int c)
       | Gauge_v g -> row "value" (csv_number g)
-      | Twa_v w -> row "value" (csv_number w)
       | Hist_v (h, _) ->
         row "count" (string_of_int (Histogram.count h));
         row "underflow" (string_of_int (Histogram.underflow h));
@@ -334,20 +224,3 @@ let write_csv_snapshot snap oc =
     snap
 
 let write_csv t oc = write_csv_snapshot (snapshot t) oc
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>";
-  List.iteri
-    (fun i e ->
-      if i > 0 then Format.fprintf ppf "@,";
-      let labels =
-        if e.labels = [] then "" else "{" ^ csv_labels e.labels ^ "}"
-      in
-      match e.value with
-      | Counter c -> Format.fprintf ppf "%s%s = %d" e.name labels !c
-      | Gauge g -> Format.fprintf ppf "%s%s = %g" e.name labels !g
-      | Twa w -> Format.fprintf ppf "%s%s = %g (twa)" e.name labels (twa_value w)
-      | Hist hist ->
-        Format.fprintf ppf "%s%s = %a" e.name labels Histogram.pp hist.h)
-    (entries t);
-  Format.fprintf ppf "@]"

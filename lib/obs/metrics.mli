@@ -1,12 +1,11 @@
 (** Metrics registry: named, optionally labeled instruments shared by the
     analytical and simulation stacks.
 
-    Four instrument kinds cover everything the solvers and simulators
+    Three instrument kinds cover everything the solvers and simulators
     measure: monotone {e counters} (events processed, accesses issued),
-    point-in-time {e gauges} (utilizations, measures of a finished run),
-    {e time-weighted averages} of piecewise-constant signals (queue
-    lengths), and {!Lattol_stats.Histogram}-backed {e distributions}
-    (latency spreads).
+    point-in-time {e gauges} (utilizations, measures of a finished run)
+    and {!Lattol_stats.Histogram}-backed {e distributions} (latency
+    spreads).
 
     A metric is identified by its name plus a label set, so one registry
     holds whole families of series ([station_util{station="mem3"}], one
@@ -37,19 +36,6 @@ val gauge : t -> ?labels:labels -> ?help:string -> string -> gauge
 val set_gauge : gauge -> float -> unit
 val gauge_value : gauge -> float
 
-type twa
-(** Time-weighted average of a piecewise-constant signal. *)
-
-val time_weighted : t -> ?labels:labels -> ?help:string -> string -> twa
-
-val observe_twa : twa -> now:float -> float -> unit
-(** [observe_twa w ~now v]: the signal takes value [v] from [now] onwards.
-    Observations must be in non-decreasing [now] order. *)
-
-val twa_value : twa -> float
-(** Integral divided by observed span; [nan] before the second
-    observation. *)
-
 type histogram
 
 type exemplar = { e_trace : string; e_value : float }
@@ -78,7 +64,6 @@ val histogram_data : histogram -> Lattol_stats.Histogram.t
 type snap_value =
   | Counter_v of int
   | Gauge_v of float
-  | Twa_v of float  (** the resolved time-weighted average *)
   | Hist_v of Lattol_stats.Histogram.t * exemplar option array
       (** a private copy of the bins, plus the exemplar cells (one per
           bin, then underflow at index [bins], overflow at [bins + 1]) *)
@@ -97,16 +82,6 @@ val snapshot : t -> snapshot
     consistency: each series is copied atomically enough for scrapes, not
     for audits); registrations racing with the snapshot may or may not be
     included. *)
-
-val merge : t -> t -> t
-(** [merge a b]: a fresh registry holding the union of both series sets —
-    [a]'s series in registration order, then [b]'s unmatched ones.  Series
-    present on both sides combine by kind: counters sum, gauges keep the
-    last write ([b] unless its value is [nan]), time-weighted averages
-    combine span-weighted, histograms add bin-wise (geometries must match).
-    Counter and histogram merging is commutative and associative; gauges
-    are last-write-wins by construction, so only associative.  Raises
-    [Invalid_argument] when a shared name carries different kinds. *)
 
 (** {1 Sinks} *)
 
@@ -130,6 +105,3 @@ val write_csv : t -> out_channel -> unit
     one row, histograms one row per exported field. *)
 
 val write_csv_snapshot : snapshot -> out_channel -> unit
-
-val pp : Format.formatter -> t -> unit
-(** Human-readable dump, one series per line. *)

@@ -337,17 +337,6 @@ let stop t =
     base_ns = t0;
   }
 
-let profiled ?dir ?max_trace_spans f =
-  let s = start ?dir ?max_trace_spans () in
-  match f () with
-  | v ->
-    let p = stop s in
-    (v, p)
-  | exception e ->
-    let bt = Printexc.get_raw_backtrace () in
-    ignore (stop s);
-    Printexc.raise_with_backtrace e bt
-
 (* ------------------------------------------------------------------ *)
 (* Live scrape: a tiny JSON object rendered from the atomics, cheap
    enough to serve on every poll of /runtime.json. *)

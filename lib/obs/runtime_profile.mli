@@ -63,11 +63,6 @@ type profile = {
 val stop : session -> profile
 (** Stop the sampler, drain the rings and fold the stream. *)
 
-val profiled :
-  ?dir:string -> ?max_trace_spans:int -> (unit -> 'a) -> 'a * profile
-(** [profiled f] runs [f] under a session; the session is stopped even
-    when [f] raises (the exception is re-raised). *)
-
 (** {1 Live scrape (safe while the session runs)} *)
 
 val live_json : session -> string

@@ -118,8 +118,6 @@ let attempts t =
   in
   List.rev_append t.finished open_ones
 
-let num_attempts t = List.length (attempts t)
-
 let sample_capacity t = t.sample_capacity
 
 (* Append the sources' attempts (in list order, chronological within each
@@ -169,23 +167,3 @@ let write_csv t oc =
             a.damping s.iteration s.residual)
         a.samples)
     (attempts t)
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>";
-  List.iteri
-    (fun i a ->
-      if i > 0 then Format.fprintf ppf "@,";
-      let tail =
-        match (a.samples, List.rev a.samples) with
-        | { residual = r0; _ } :: _, { residual = rn; iteration = it; _ } :: _
-          ->
-          Format.asprintf "residual %.3e -> %.3e over %d sweeps" r0 rn it
-        | _ -> "no samples"
-      in
-      Format.fprintf ppf "#%d %s damping=%g%s: %s (%s)" a.index a.solver
-        a.damping
-        (if a.label = "" then "" else " [" ^ a.label ^ "]")
-        (if a.converged then "converged" else "failed")
-        tail)
-    (attempts t);
-  Format.fprintf ppf "@]"

@@ -59,8 +59,6 @@ val solve :
     machine ([n_t = 0]), which has no fixed point to trace.  The one
     traced-solve path of [mms solve --trace-out] and of traced sweeps. *)
 
-val num_attempts : t -> int
-
 val sample_capacity : t -> int
 (** The per-attempt sample cap this recorder was created with. *)
 
@@ -82,6 +80,3 @@ val write_jsonl : t -> out_channel -> unit
 
 val write_csv : t -> out_channel -> unit
 (** Long form: [attempt,label,solver,damping,iteration,residual]. *)
-
-val pp : Format.formatter -> t -> unit
-(** One line per attempt: solver, damping, first/last residual, outcome. *)

@@ -12,10 +12,6 @@ exception Too_many_rows of int
 (** Raised when the elimination exceeds the row cap (the worst case is
     exponential). *)
 
-val incidence : Petri.t -> int array array
-(** [incidence net].(p).(t): net token change of place [p] when transition
-    [t] fires. *)
-
 val p_semiflows : ?max_rows:int -> Petri.t -> int array list
 (** Minimal-support non-negative place invariants, each normalized to
     coprime weights (default row cap 20_000).  Every returned vector [w]

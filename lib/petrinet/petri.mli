@@ -74,11 +74,8 @@ val fire : t -> marking:int array -> transition -> unit
 (** Consume inputs, produce outputs, in place.  Raises [Invalid_argument]
     if the transition is not enabled. *)
 
-val token_delta : t -> transition -> weights:float array -> float
-(** Net change of [sum_p weights.(p) * marking.(p)] caused by one firing —
-    zero for every transition iff [weights] is a P-(semi)invariant. *)
-
 val is_invariant : t -> weights:float array -> bool
-(** [token_delta] is zero (within 1e-9) for all transitions. *)
+(** No transition's firing changes [sum_p weights.(p) * marking.(p)]
+    (within 1e-9): [weights] is a P-(semi)invariant. *)
 
 val pp : Format.formatter -> t -> unit

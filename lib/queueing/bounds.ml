@@ -72,9 +72,3 @@ let analyze network ~cls =
     x_balanced_lower;
     n_star;
   }
-
-let pp ppf b =
-  Fmt.pf ppf
-    "@[N=%d D=%.4g Dmax=%.4g N*=%.3g X in [%.4g, %.4g] (balanced [%.4g, %.4g])@]"
-    b.population b.demand_total b.demand_max b.n_star b.x_lower b.x_upper
-    b.x_balanced_lower b.x_balanced_upper

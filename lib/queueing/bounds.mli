@@ -20,5 +20,3 @@ type t = {
 val analyze : Network.t -> cls:int -> t
 (** Bounds for the given class, which must be the only one with customers.
     Delay-station demand is treated as think time [Z]. *)
-
-val pp : Format.formatter -> t -> unit

@@ -111,13 +111,6 @@ let is_stable t =
   done;
   !ok
 
-let bottleneck t =
-  let best = ref 0 in
-  for m = 1 to Array.length t.stations - 1 do
-    if utilization t ~station:m > utilization t ~station:!best then best := m
-  done;
-  !best
-
 (* Erlang-C probability of waiting in an M/M/c queue at utilization rho. *)
 let erlang_c ~servers ~rho =
   let c = float_of_int servers in
@@ -172,14 +165,3 @@ let capacity t =
     if rho > !worst then worst := rho
   done;
   if Float.equal !worst 0. then infinity else 1. /. !worst
-
-let pp ppf t =
-  Fmt.pf ppf "@[<v>open Jackson network (%d stations):@,"
-    (Array.length t.stations);
-  Array.iteri
-    (fun m st ->
-      Fmt.pf ppf "  %-12s lambda=%.4g rho=%.4f W=%.4g@," st.name t.lambda.(m)
-        (utilization t ~station:m)
-        (mean_response_time t ~station:m))
-    t.stations;
-  Fmt.pf ppf "  stable: %b, headroom: %.3gx@]" (is_stable t) (capacity t)

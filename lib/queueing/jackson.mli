@@ -34,9 +34,6 @@ val utilization : t -> station:int -> float
 val is_stable : t -> bool
 (** Every station's utilization < 1. *)
 
-val bottleneck : t -> int
-(** Station with the highest utilization. *)
-
 val mean_queue_length : t -> station:int -> float
 (** Stationary mean number in the station (M/M/c formula; infinite when
     unstable). *)
@@ -54,5 +51,3 @@ val capacity : t -> float
 (** The largest uniform scaling factor [f] such that arrivals [f *
     arrivals] keep every station stable — how far the offered load is from
     the saturation the paper's Eq. 4 describes. *)
-
-val pp : Format.formatter -> t -> unit

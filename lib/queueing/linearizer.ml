@@ -108,10 +108,16 @@ let[@lattol.hot] core network ~pops ~f ~(options : Amva.options) =
     done;
     for c = 0 to num_cls - 1 do
       for m = 0 to num_st - 1 do
-        let delta = abs_float (new_queue.(c).(m) -. queue.(c).(m)) in
+        (* The damped update of {!Amva.solve}; at damping 0 it is
+           [new_queue] bit for bit. *)
+        let updated =
+          (options.Amva.damping *. queue.(c).(m))
+          +. ((1. -. options.Amva.damping) *. new_queue.(c).(m))
+        in
+        let delta = abs_float (updated -. queue.(c).(m)) in
         (* NaN-catching accumulation; see the matching comment in Amva. *)
         if not (delta <= !max_delta) then max_delta := delta;
-        queue.(c).(m) <- new_queue.(c).(m)
+        queue.(c).(m) <- updated
       done
     done;
     if not (Float.is_finite !max_delta) then stopped := true
@@ -127,6 +133,10 @@ let[@lattol.hot] core network ~pops ~f ~(options : Amva.options) =
   { throughput; residence; queue; iterations = !iterations; converged = !converged }
 
 let solve ?(options = Amva.default_options) ?(outer_iterations = 3) network =
+  if not (options.Amva.tolerance > 0.) then
+    invalid_arg "Linearizer.solve: tolerance > 0";
+  if not (options.Amva.damping >= 0. && options.Amva.damping < 1.) then
+    invalid_arg "Linearizer.solve: damping in [0, 1)";
   if outer_iterations < 1 then
     invalid_arg "Linearizer.solve: outer_iterations >= 1";
   let num_cls = Network.num_classes network in

@@ -15,5 +15,7 @@ val solve :
   ?options:Amva.options -> ?outer_iterations:int -> Network.t -> Solution.t
 (** [solve network] runs the Linearizer ([outer_iterations] defaults to 3,
     which is the standard choice; [options] tune the inner fixed-point
-    iterations).  The result's [iterations] counts all inner sweeps;
-    [converged] reports the final core solve. *)
+    iterations, damping included; a tolerance that is not positive or a
+    damping outside [[0, 1)], NaN included, raises [Invalid_argument]).
+    The result's [iterations] counts all inner sweeps; [converged]
+    reports the final core solve. *)

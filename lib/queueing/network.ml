@@ -111,13 +111,3 @@ let with_population t pops =
     Array.mapi (fun c cls -> { cls with population = pops.(c) }) t.classes
   in
   { t with classes }
-
-let pp ppf t =
-  Fmt.pf ppf "@[<v>closed network: %d stations, %d classes@," (num_stations t)
-    (num_classes t);
-  Array.iteri
-    (fun c cls ->
-      Fmt.pf ppf "  class %s: N=%d total demand %.4g@," cls.class_name
-        cls.population (total_demand t ~cls:c))
-    t.classes;
-  Fmt.pf ppf "@]"

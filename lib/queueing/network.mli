@@ -73,5 +73,3 @@ val bottleneck : t -> cls:int -> int
 
 val with_population : t -> int array -> t
 (** Same network with new per-class populations. *)
-
-val pp : Format.formatter -> t -> unit

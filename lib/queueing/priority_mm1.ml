@@ -51,9 +51,6 @@ let waiting_time t ~cls =
 
 let response_time t ~cls = waiting_time t ~cls +. t.classes.(cls).service_time
 
-let mean_queue_length t ~cls =
-  t.classes.(cls).arrival_rate *. response_time t ~cls
-
 let fcfs_waiting_time t =
   let rho = utilization t in
   (* rho < 1 by the same make-time check. *)

@@ -32,9 +32,6 @@ val waiting_time : t -> cls:int -> float
 val response_time : t -> cls:int -> float
 (** Waiting + service. *)
 
-val mean_queue_length : t -> cls:int -> float
-(** Mean number of class members in the system (Little). *)
-
 val fcfs_waiting_time : t -> float
 (** The priority-free baseline: M/M/1 FCFS waiting time of the merged
     stream with the same total load (exponential mixture approximated by

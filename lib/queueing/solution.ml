@@ -10,10 +10,6 @@ type t = {
 let cycle_time t ~cls =
   Array.fold_left ( +. ) 0. t.residence.(cls)
 
-let waiting_time t ~cls ~station =
-  let v = Network.visit t.network ~cls ~station in
-  if Float.equal v 0. then 0. else t.residence.(cls).(station) /. v
-
 let class_utilization t ~cls ~station =
   t.throughput.(cls) *. Network.demand t.network ~cls ~station
 
@@ -40,18 +36,3 @@ let littles_law_residual t =
     if residual > !worst then worst := residual
   done;
   !worst
-
-let pp ppf t =
-  let nw = t.network in
-  Fmt.pf ppf "@[<v>solution (%d iterations, %s):@,"
-    t.iterations
-    (if t.converged then "converged" else "NOT converged");
-  for c = 0 to Network.num_classes nw - 1 do
-    Fmt.pf ppf "  class %-10s X=%.5g cycle=%.5g@," (Network.class_name nw c)
-      t.throughput.(c) (cycle_time t ~cls:c)
-  done;
-  for m = 0 to Network.num_stations nw - 1 do
-    Fmt.pf ppf "  station %-10s U=%.4f Q=%.4f@," (Network.station_name nw m)
-      (utilization t ~station:m) (queue_total t ~station:m)
-  done;
-  Fmt.pf ppf "@]"

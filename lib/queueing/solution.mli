@@ -19,15 +19,9 @@ type t = {
 val cycle_time : t -> cls:int -> float
 (** Mean time for one complete cycle of a class-[c] customer. *)
 
-val waiting_time : t -> cls:int -> station:int -> float
-(** Mean per-visit response time (queueing + service) of class [c] at the
-    station; [0.] where the class never visits. *)
-
 val utilization : t -> station:int -> float
 (** Total utilization of a station: [sum_c lambda_c * D_{c,m}].  For a
     single-server queueing station this is the busy fraction. *)
-
-val class_utilization : t -> cls:int -> station:int -> float
 
 val queue_total : t -> station:int -> float
 (** Mean total customers (all classes) at the station. *)
@@ -35,5 +29,3 @@ val queue_total : t -> station:int -> float
 val littles_law_residual : t -> float
 (** Max over classes of [|N_c - lambda_c * cycle_time_c| / max 1 N_c]: a
     consistency audit that must be ~0 for any fixed point of MVA. *)
-
-val pp : Format.formatter -> t -> unit

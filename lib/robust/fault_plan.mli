@@ -57,5 +57,4 @@ val degrade_params : t -> Lattol_core.Params.t -> Lattol_core.Params.t
     respective {!slowdown} factors, so the analytical solvers and the STPN
     see the average-rate equivalent of the fault plan. *)
 
-val pp_process : Format.formatter -> process -> unit
 val pp : Format.formatter -> t -> unit

@@ -38,8 +38,6 @@ let policy ?(max_attempts = 3) ?(base_delay = 0.05) ?(max_delay = 1.)
   if jitter < 0. then invalid_arg "Retry.policy: jitter must be non-negative";
   { max_attempts; base_delay; max_delay; jitter; classify }
 
-let default = policy ()
-
 (* Deterministic jitter: a hash of (salt, attempt) desynchronizes workers
    retrying the same backoff rung without drawing from an ambient PRNG
    (which replay and the solve cache could never see). *)

@@ -37,8 +37,6 @@ val policy :
 (** Validating constructor; defaults: 3 attempts, 50 ms doubling to a 1 s
     cap, jitter 0.5, {!default_classify}. *)
 
-val default : policy
-
 val delay : policy -> attempt:int -> salt:int -> float
 (** Backoff (seconds) after failed [attempt] (1-based):
     [min max_delay (base_delay * 2^(attempt-1))] plus deterministic

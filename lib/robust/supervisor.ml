@@ -1,11 +1,7 @@
 open Lattol_core
 open Lattol_queueing
 
-(* -v diagnostics go through the structured JSONL logger so every line
-   carries the causal-trace id of the point being supervised; the
-   freeform Logs reporter is no longer used here. *)
 module Slog = Lattol_obs.Log
-module Tc = Lattol_obs.Trace_ctx
 
 let log_src = "lattol.supervisor"
 
@@ -129,11 +125,8 @@ let solution_finite solution =
 
 let solve ?solvers ?(dampings = default_dampings) ?(tolerance = 1e-8)
     ?(base_iterations = 2_000) ?time_budget ?(stall_window = 1_000)
-    ?(slack = 0.02) ?telemetry ?(causal = Tc.disabled) p =
+    ?(slack = 0.02) ?telemetry p =
   let tel f = Option.iter f telemetry in
-  let trace =
-    if Tc.enabled causal then Some (Tc.point_trace_id causal) else None
-  in
   let p = Params.validate_exn p in
   if dampings = [] then invalid_arg "Supervisor.solve: dampings is empty";
   List.iter
@@ -188,13 +181,13 @@ let solve ?solvers ?(dampings = default_dampings) ?(tolerance = 1e-8)
       | [] -> finish_error ()
       | (solver, damping) :: rest ->
         if out_of_time () then begin
-          Slog.warnf ?trace ~src:log_src
+          Slog.warnf ~src:log_src
             "time budget exhausted before rung %d; giving up" (index + 1);
           finish_error ()
         end
         else begin
           let budget = base_iterations * (1 lsl Int.min index 20) in
-          Slog.debugf ?trace
+          Slog.debugf
             ~fields:
               [
                 ("solver", Mms.solver_label solver);
@@ -203,39 +196,19 @@ let solve ?solvers ?(dampings = default_dampings) ?(tolerance = 1e-8)
               ]
             ~src:log_src "rung %d/%d start" (index + 1)
             (index + 1 + List.length rest);
-          (* One causal span per escalation rung, open across the whole
-             solve attempt; its outcome lands in the span meta. *)
-          let rung_span =
-            Tc.start ~cat:"solve"
-              ~name:(Printf.sprintf "rung %d" (index + 1))
-              causal
-          in
           tel (fun t ->
               Lattol_obs.Solver_trace.start_attempt t
                 ~label:(Printf.sprintf "rung %d" (index + 1))
                 ~budget
                 ~solver:(Mms.solver_label solver) ~damping ());
-          (* Close the rung in all three recorders, in this order: the
-             causal span (outcome in its meta), the solver-trace attempt
+          (* Close the rung in both recorders, the solver-trace attempt
              and the diagnosis.  No [reason] means accepted. *)
-          let close ?reason ~outcome ~iterations ~residual () =
-            let reason_text = Option.map reason_string reason in
-            Tc.finish
-              ~meta:
-                [
-                  ("solver", Mms.solver_label solver);
-                  ("damping", Printf.sprintf "%g" damping);
-                  ("budget", string_of_int budget);
-                  ( "outcome",
-                    match reason_text with
-                    | Some r -> outcome ^ ": " ^ r
-                    | None -> outcome );
-                ]
-              rung_span;
+          let close ?reason ~iterations ~residual () =
             let converged = Option.is_none reason in
             tel (fun t ->
-                Lattol_obs.Solver_trace.finish_attempt ?reason:reason_text t
-                  ~converged ~iterations);
+                Lattol_obs.Solver_trace.finish_attempt
+                  ?reason:(Option.map reason_string reason) t ~converged
+                  ~iterations);
             record
               {
                 solver;
@@ -287,8 +260,8 @@ let solve ?solvers ?(dampings = default_dampings) ?(tolerance = 1e-8)
           in
           match outcome with
           | Error reason ->
-            close ~reason ~outcome:"raised" ~iterations:0 ~residual:nan ();
-            Slog.infof ?trace ~src:log_src "rung %d (%s, damping %g) raised: %s"
+            close ~reason ~iterations:0 ~residual:nan ();
+            Slog.infof ~src:log_src "rung %d (%s, damping %g) raised: %s"
               (index + 1) (Mms.solver_label solver) damping
               (reason_string reason);
             climb (index + 1) rest
@@ -296,8 +269,8 @@ let solve ?solvers ?(dampings = default_dampings) ?(tolerance = 1e-8)
             let iterations = solution.Solution.iterations in
             let accepted = solution.Solution.converged && solution_finite solution in
             if accepted then begin
-              close ~outcome:"accepted" ~iterations ~residual:!last_residual ();
-              Slog.debugf ?trace
+              close ~iterations ~residual:!last_residual ();
+              Slog.debugf
                 ~fields:[ ("iterations", string_of_int iterations) ]
                 ~src:log_src "rung %d accepted: %s converged" (index + 1)
                 (Mms.solver_label solver);
@@ -305,7 +278,7 @@ let solve ?solvers ?(dampings = default_dampings) ?(tolerance = 1e-8)
               let violations = cross_check ~slack p solution measures in
               List.iter
                 (fun v ->
-                  Slog.warnf ?trace ~src:log_src "bound violation: %s (%g > %g)"
+                  Slog.warnf ~src:log_src "bound violation: %s (%g > %g)"
                     v.check v.actual v.bound)
                 violations;
               Ok
@@ -329,9 +302,8 @@ let solve ?solvers ?(dampings = default_dampings) ?(tolerance = 1e-8)
                   then Non_finite
                   else Iteration_cap
               in
-              close ~reason ~outcome:"failed" ~iterations
-                ~residual:!last_residual ();
-              Slog.infof ?trace ~src:log_src
+              close ~reason ~iterations ~residual:!last_residual ();
+              Slog.infof ~src:log_src
                 "rung %d (%s, damping %g, budget %d) failed: %s" (index + 1)
                 (Mms.solver_label solver) damping budget (reason_string reason);
               climb (index + 1) rest

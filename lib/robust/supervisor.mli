@@ -65,7 +65,6 @@ val solve :
   ?stall_window:int ->
   ?slack:float ->
   ?telemetry:Lattol_obs.Solver_trace.t ->
-  ?causal:Lattol_obs.Trace_ctx.ctx ->
   Params.t ->
   (Measures.t * diagnosis, diagnosis) result
 (** Climb the ladder until a solver converges to a finite solution.
@@ -88,11 +87,6 @@ val solve :
       {!Lattol_obs.Solver_trace} attempt, with the per-sweep residual
       trajectory sampled through the same [on_sweep] hook the ladder
       watches.
-    - [causal] (default {!Lattol_obs.Trace_ctx.disabled}) records one
-      ["solve"]-category span per escalation rung (["rung N"], with
-      solver/damping/budget/outcome meta) under the given causal-tracing
-      context, and stamps the context's trace id onto every structured
-      [-v] diagnostic line ({!Lattol_obs.Log}).
 
     [Ok (measures, diagnosis)] carries the first accepted solution;
     [Error diagnosis] means every rung failed (the measures of the last
@@ -104,9 +98,6 @@ val outcome : ('a * diagnosis, diagnosis) result -> outcome
 val exit_code : outcome -> int
 (** Process exit code for CLI use: 0 = converged, 3 = converged after
     fallback, 4 = failed. *)
-
-val pp_attempt : Format.formatter -> attempt -> unit
-val pp_violation : Format.formatter -> violation -> unit
 
 val pp_diagnosis : Format.formatter -> diagnosis -> unit
 (** Multi-line report of the ladder and the bound cross-check.  Elapsed

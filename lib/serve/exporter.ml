@@ -19,8 +19,6 @@ type t = {
 
 let address t = t.address
 
-let port t = t.port
-
 let scrapes t = Atomic.get t.scrape_count
 
 (* ------------------------------------------------------------------ *)

@@ -57,10 +57,6 @@ val address : t -> string
 (** Human-readable bound address: ["127.0.0.1:43017"] or the socket
     path. *)
 
-val port : t -> int option
-(** The actual TCP port (resolved when {!Tcp}[ 0] was requested); [None]
-    for Unix-domain endpoints. *)
-
 val scrapes : t -> int
 (** Requests answered so far (any route). *)
 

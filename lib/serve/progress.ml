@@ -47,13 +47,9 @@ let create ?(phase = "run") () =
     accts = Hashtbl.create 8;
   }
 
-let phase t = t.phase_name
-
 let set_total t n = Atomic.set t.total_ n
 
 let step ?(n = 1) t = ignore (Atomic.fetch_and_add t.done_ n)
-
-let total t = Atomic.get t.total_
 
 let set_workers t n = Atomic.set t.workers n
 

@@ -27,13 +27,10 @@ val create : ?phase:string -> unit -> t
 (** [phase] names the unit of work (default ["run"]): it prefixes the
     points-done/total series, e.g. [sweep_points_done]. *)
 
-val phase : t -> string
-
 (** {1 Work accounting} *)
 
 val set_total : t -> int -> unit
 val step : ?n:int -> t -> unit
-val total : t -> int
 
 (** {1 Pool state} — normally driven by {!pool_monitor}. *)
 
@@ -74,8 +71,6 @@ val finish : t -> unit
 (** Freeze the clock: [elapsed_seconds] stops moving and [eta_seconds]
     drops to 0, so every later snapshot — the final scrape and the
     [--metrics-out] flush — renders identical bytes. *)
-
-val elapsed : t -> float
 
 val eta : t -> float
 (** Linear extrapolation of the remaining work.  Always finite and

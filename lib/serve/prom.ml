@@ -52,7 +52,7 @@ let label_block = function
 
 let prom_type = function
   | Metrics.Counter_v _ -> "counter"
-  | Metrics.Gauge_v _ | Metrics.Twa_v _ -> "gauge"
+  | Metrics.Gauge_v _ -> "gauge"
   | Metrics.Hist_v _ -> "histogram"
 
 (* Group series into name families, preserving first-appearance order:
@@ -138,7 +138,7 @@ let render ?(prefix = "lattol_") snap =
           let labels = label_block s.Metrics.s_labels in
           match s.Metrics.s_value with
           | Metrics.Counter_v c -> Printf.bprintf b "%s%s %d\n" fname labels c
-          | Metrics.Gauge_v v | Metrics.Twa_v v ->
+          | Metrics.Gauge_v v ->
             Printf.bprintf b "%s%s %s\n" fname labels (number v)
           | Metrics.Hist_v (h, ex) ->
             render_histogram b fname s.Metrics.s_labels h ex)

@@ -3,10 +3,10 @@
     Series names are sanitized to the Prometheus charset and prefixed
     (default [lattol_]); families sharing a name are grouped under one
     [# HELP] / [# TYPE] header in first-appearance order.  Counters and
-    gauges map directly, time-weighted averages render as gauges, and
-    {!Lattol_stats.Histogram} series expand to the conventional
-    [_bucket{le="..."}] / [_count] / [_sum] triplet (cumulative buckets,
-    underflow attributed to every bucket, overflow to [+Inf] only). *)
+    gauges map directly, and {!Lattol_stats.Histogram} series expand to
+    the conventional [_bucket{le="..."}] / [_count] / [_sum] triplet
+    (cumulative buckets, underflow attributed to every bucket, overflow
+    to [+Inf] only). *)
 
 val content_type : string
 (** The [Content-Type] value scrapers expect:

@@ -576,38 +576,6 @@ and collect st p ~sim_time ~lambda_batches ~u_p_batches =
     faults = fault_report st ~sim_time;
   }
 
-let run_until_precision ?(config = default_config) ?(batch_span = 2_000.)
-    ?(min_batches = 10) ~target_rel_error ~max_horizon p =
-  if target_rel_error <= 0. then
-    invalid_arg "Mms_des.run_until_precision: target_rel_error > 0";
-  if batch_span <= 0. || max_horizon < batch_span *. float_of_int min_batches
-  then invalid_arg "Mms_des.run_until_precision: inconsistent horizon bounds";
-  let p = Params.validate_exn p in
-  let st = start config p in
-  let n = Params.num_processors p in
-  let lambda_batches = Moments.create () in
-  let u_p_batches = Moments.create () in
-  let prev_completions = ref 0 in
-  let prev_busy = ref 0. in
-  let batches = ref 0 in
-  let rel_error () =
-    match Lattol_stats.Confidence.interval u_p_batches with
-    | Some (mean, half) when mean > 0. -> half /. mean
-    | Some _ | None -> infinity
-  in
-  let continue () =
-    !batches < min_batches
-    || (rel_error () > target_rel_error
-       && float_of_int !batches *. batch_span < max_horizon)
-  in
-  while continue () do
-    run_batch st ~config ~n ~batch_span ~prev_completions ~prev_busy
-      ~lambda_batches ~u_p_batches;
-    incr batches
-  done;
-  let sim_time = float_of_int !batches *. batch_span in
-  collect st p ~sim_time ~lambda_batches ~u_p_batches
-
 let run_trace ?(config = default_config) ~base trace =
   if config.warmup < 0. || config.horizon <= 0. then
     invalid_arg "Mms_des.run_trace: warmup >= 0 and horizon > 0";
@@ -647,19 +615,3 @@ let run_trace ?(config = default_config) ~base trace =
       ~lambda_batches ~u_p_batches
   done;
   collect st p ~sim_time:config.horizon ~lambda_batches ~u_p_batches
-
-let run_replications ?(config = default_config) ~replications p =
-  if replications < 2 then
-    invalid_arg "Mms_des.run_replications: replications >= 2";
-  let results =
-    List.init replications (fun i ->
-        run ~config:{ config with seed = config.seed + i } p)
-  in
-  let u_p = Moments.create () in
-  List.iter (fun r -> Moments.add u_p r.measures.Measures.u_p) results;
-  let ci =
-    match Lattol_stats.Confidence.interval u_p with
-    | Some (mean, half) -> (mean, half)
-    | None -> (nan, nan)
-  in
-  (List.hd results, ci)

@@ -100,21 +100,3 @@ val run_trace : ?config:config -> base:Params.t -> Trace.t -> result
     pattern are superseded by the scripts).  Compute times come from the
     trace verbatim; memory and switch services still follow [config]'s
     distributions. *)
-
-val run_replications :
-  ?config:config -> replications:int -> Params.t ->
-  result * (float * float)
-(** Independent replications: run the simulation [replications] times with
-    seeds [config.seed, config.seed + 1, ...] and return the first run's
-    full result together with the across-replication 95% confidence
-    interval on [U_p] — the standard alternative to batch means when
-    initial-transient bias is the worry. *)
-
-val run_until_precision :
-  ?config:config -> ?batch_span:float -> ?min_batches:int ->
-  target_rel_error:float -> max_horizon:float -> Params.t -> result
-(** Sequential-stopping variant: simulate batch by batch (default span
-    2_000 time units, at least [min_batches] = 10 of them) until the 95%
-    confidence half-width of [U_p] falls below [target_rel_error] of its
-    mean, or the measured time reaches [max_horizon].  The [horizon] and
-    [batches] fields of [config] are ignored. *)

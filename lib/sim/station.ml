@@ -60,8 +60,6 @@ let waiting t =
 
 let queue_length t = waiting t + t.in_service
 
-let busy t = t.in_service > 0
-
 let note_queue_change t =
   let now = Engine.now t.engine in
   t.queue_area <-
@@ -124,8 +122,6 @@ let submit ?(priority = 0) ?duration ?on_start t payload on_complete =
     t.queues.(level);
   start_service t
 
-let speed t = t.speed
-
 let set_speed t s =
   if s <= 0. || not (Float.is_finite s) then
     invalid_arg "Station.set_speed: speed must be positive and finite";
@@ -163,10 +159,6 @@ let mean_queue_length t =
   end
 
 let response_times t = t.response
-
-let throughput t =
-  let span = elapsed t in
-  if span <= 0. then 0. else float_of_int t.completed /. span
 
 let reset_stats t =
   let now = Engine.now t.engine in

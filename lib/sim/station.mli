@@ -34,9 +34,6 @@ val submit :
 val queue_length : 'a t -> int
 (** Jobs currently present (waiting + in service). *)
 
-val speed : 'a t -> float
-(** Current service-rate multiplier (1 when healthy). *)
-
 val set_speed : 'a t -> float -> unit
 (** Change the station's service-rate multiplier: a job dispatched while
     the speed is [s] takes [work / s] time, where [work] is the drawn (or
@@ -45,9 +42,6 @@ val set_speed : 'a t -> float -> unit
     model degraded switches and memory modules; [speed] must be positive
     and finite — model a full outage by seizing the servers with
     maximum-priority jobs of the repair duration instead. *)
-
-val busy : 'a t -> bool
-(** At least one server occupied. *)
 
 val servers : 'a t -> int
 
@@ -63,9 +57,6 @@ val mean_queue_length : 'a t -> float
 
 val response_times : 'a t -> Lattol_stats.Moments.t
 (** Per-job response time (waiting + service) accumulator. *)
-
-val throughput : 'a t -> float
-(** Completions per unit time of elapsed (post-reset) time. *)
 
 val reset_stats : 'a t -> unit
 (** Forget accumulated statistics; jobs in flight stay. *)

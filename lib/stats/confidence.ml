@@ -20,74 +20,3 @@ let interval m =
       t_quantile ~df:(n - 1) *. Moments.stddev m /. sqrt (float_of_int n)
     in
     Some (Moments.mean m, half)
-
-let autocorrelation series ~lag =
-  let n = Array.length series in
-  if lag < 0 then invalid_arg "Confidence.autocorrelation: lag >= 0";
-  if lag >= n || n < 2 then 0.
-  else begin
-    (* Autocorrelation probes are short batch-mean series; the goldens pin
-       today's bit-exact sums, and compensation would shift them without
-       statistical gain at these n. *)
-    let mean =
-      (Array.fold_left ( +. ) 0. series [@lattol.allow "float-sum-naive"])
-      /. float_of_int n
-    in
-    let var =
-      (Array.fold_left (fun acc x -> acc +. ((x -. mean) ** 2.)) 0. series
-      [@lattol.allow "float-sum-naive"])
-    in
-    if Float.equal var 0. then 0.
-    else begin
-      let acc = ref 0. in
-      for t = 0 to n - lag - 1 do
-        acc := !acc +. ((series.(t) -. mean) *. (series.(t + lag) -. mean))
-      done;
-      !acc /. var
-    end
-  end
-
-let suggest_batch_size ?(threshold = 0.1) ?max_lag series =
-  if threshold <= 0. || threshold >= 1. then
-    invalid_arg "Confidence.suggest_batch_size: threshold in (0, 1)";
-  let n = Array.length series in
-  let cap = Option.value max_lag ~default:(max 1 (n / 4)) in
-  let rec find lag =
-    if lag > cap then cap
-    else if abs_float (autocorrelation series ~lag) < threshold then lag
-    else find (lag + 1)
-  in
-  10 * find 1
-
-module Batch_means = struct
-  type t = {
-    batch_size : int;
-    mutable in_batch : int;
-    mutable batch_sum : float;
-    batches : Moments.t;
-  }
-
-  let create ~batch_size =
-    if batch_size < 1 then invalid_arg "Batch_means.create: batch_size >= 1";
-    { batch_size; in_batch = 0; batch_sum = 0.; batches = Moments.create () }
-
-  let add t x =
-    t.batch_sum <- t.batch_sum +. x;
-    t.in_batch <- t.in_batch + 1;
-    if t.in_batch = t.batch_size then begin
-      Moments.add t.batches (t.batch_sum /. float_of_int t.batch_size);
-      t.in_batch <- 0;
-      t.batch_sum <- 0.
-    end
-
-  let num_batches t = Moments.count t.batches
-
-  let mean t = Moments.mean t.batches
-
-  let interval t = interval t.batches
-
-  let relative_error t =
-    match interval t with
-    | Some (m, half) when not (Float.equal m 0.) -> abs_float (half /. m)
-    | _ -> infinity
-end

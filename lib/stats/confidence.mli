@@ -1,10 +1,11 @@
-(** Confidence intervals and the batch-means method.
+(** Student-t confidence intervals.
 
     Steady-state simulation outputs are correlated, so raw per-sample
-    confidence intervals are too narrow.  {!Batch_means} groups observations
-    into fixed-size batches whose means are approximately independent and
-    builds a Student-t interval over them — the standard method for the kind
-    of long-run latency/throughput estimates in the paper's Section 8. *)
+    confidence intervals are too narrow.  The simulators group their
+    observations into batches whose means are approximately independent
+    and build the interval over those means — the standard batch-means
+    method for the kind of long-run latency/throughput estimates in the
+    paper's Section 8. *)
 
 val t_quantile : df:int -> float
 (** Two-sided 95% Student-t critical value for [df] degrees of freedom
@@ -13,36 +14,3 @@ val t_quantile : df:int -> float
 val interval : Moments.t -> (float * float) option
 (** [interval m] is the symmetric 95% confidence half-interval around the
     mean, as [(mean, half_width)]; [None] with fewer than two samples. *)
-
-val autocorrelation : float array -> lag:int -> float
-(** Sample autocorrelation at the given lag (biased estimator, the usual
-    choice for batch sizing); 0 when undefined (constant or too-short
-    series). *)
-
-val suggest_batch_size : ?threshold:float -> ?max_lag:int -> float array -> int
-(** Batch size for {!Batch_means} from the series' correlation structure:
-    ten times the first lag at which |autocorrelation| drops below
-    [threshold] (default 0.1, scanning up to [max_lag], default a quarter
-    of the series).  Independent samples suggest 10; strongly correlated
-    steady-state output suggests proportionally longer batches. *)
-
-module Batch_means : sig
-  type t
-
-  val create : batch_size:int -> t
-  (** Observations are grouped into consecutive batches of [batch_size]. *)
-
-  val add : t -> float -> unit
-
-  val num_batches : t -> int
-
-  val mean : t -> float
-  (** Grand mean over completed batches ([nan] if none). *)
-
-  val interval : t -> (float * float) option
-  (** 95% confidence [(mean, half_width)] over batch means; [None] with
-      fewer than two completed batches. *)
-
-  val relative_error : t -> float
-  (** Half-width divided by |mean|; [infinity] when unavailable. *)
-end

@@ -49,21 +49,6 @@ let sum t = t.total
 
 let copy t = { t with counts = Array.copy t.counts }
 
-let same_geometry a b =
-  Float.equal a.lo b.lo && Float.equal a.hi b.hi
-  && Array.length a.counts = Array.length b.counts
-
-let merge a b =
-  if not (same_geometry a b) then
-    invalid_arg "Histogram.merge: geometries differ";
-  {
-    a with
-    counts = Array.init (Array.length a.counts) (fun i -> a.counts.(i) + b.counts.(i));
-    underflow = a.underflow + b.underflow;
-    overflow = a.overflow + b.overflow;
-    total = a.total +. b.total;
-  }
-
 let bin_bounds t i =
   let a = t.lo +. (float_of_int i *. t.width) in
   (a, a +. t.width)
@@ -97,14 +82,3 @@ let quantile t q =
       go 0 (float_of_int t.underflow)
     end
   end
-
-let pp ppf t =
-  let peak = Array.fold_left max 1 t.counts in
-  let glyphs = [| ' '; '.'; ':'; '-'; '='; '+'; '*'; '#' |] in
-  let render c =
-    let level = c * (Array.length glyphs - 1) / peak in
-    glyphs.(level)
-  in
-  Fmt.pf ppf "[%g..%g) n=%d |" t.lo t.hi (count t);
-  Array.iter (fun c -> Fmt.char ppf (render c)) t.counts;
-  Fmt.pf ppf "| under=%d over=%d" t.underflow t.overflow

@@ -37,11 +37,6 @@ val copy : t -> t
 (** Independent snapshot; further {!add}s to either side do not affect
     the other. *)
 
-val merge : t -> t -> t
-(** Bin-wise sum of two histograms over the same geometry (same [lo],
-    [hi] and bin count — raises [Invalid_argument] otherwise).  Neither
-    input is modified. *)
-
 val bin_bounds : t -> int -> float * float
 (** Inclusive-exclusive bounds of bin [i]. *)
 
@@ -51,6 +46,3 @@ val quantile : t -> float -> float
     range is attributed to the nearest edge: overflow to [hi], underflow
     to [lo]; a quantile landing exactly on a bin boundary returns the
     boundary value. *)
-
-val pp : Format.formatter -> t -> unit
-(** Compact textual sparkline of the bin populations. *)

@@ -63,9 +63,3 @@ let merge a b =
       max = Stdlib.max a.max b.max;
     }
   end
-
-let pp ppf t =
-  if t.count = 0 then Fmt.string ppf "(empty)"
-  else
-    Fmt.pf ppf "n=%d mean=%.6g sd=%.3g min=%.3g max=%.3g" t.count (mean t)
-      (stddev t) t.min t.max

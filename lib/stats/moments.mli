@@ -37,5 +37,3 @@ val sum : t -> float
 
 val merge : t -> t -> t
 (** Combine two accumulators as if all observations went into one. *)
-
-val pp : Format.formatter -> t -> unit

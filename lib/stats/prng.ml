@@ -45,5 +45,3 @@ let int t n =
     else Int64.to_int v
   in
   go ()
-
-let bool t = Int64.logand (bits64 t) 1L = 1L

@@ -35,6 +35,3 @@ val float_pos : t -> float
 
 val int : t -> int -> int
 (** [int t n] is uniform on [[0, n-1]].  [n] must be positive. *)
-
-val bool : t -> bool
-(** Fair coin flip. *)

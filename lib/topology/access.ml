@@ -127,10 +127,6 @@ let create topo pattern ~p_remote =
     in
     { topo; pattern; p_remote; probs }
 
-let topology t = t.topo
-
-let pattern t = t.pattern
-
 let p_remote t = t.p_remote
 
 let remote_fraction t ~src = 1. -. t.probs.(src).(src)
@@ -164,12 +160,3 @@ let average_distance t ~src =
     done;
     !num /. remote
   end
-
-let pp ppf t =
-  let pat =
-    match t.pattern with
-    | Geometric p_sw -> Printf.sprintf "geometric(p_sw=%g)" p_sw
-    | Uniform -> "uniform"
-    | Explicit _ -> "explicit"
-  in
-  Fmt.pf ppf "%s p_remote=%g on %a" pat t.p_remote Topology.pp t.topo

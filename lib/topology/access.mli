@@ -32,10 +32,6 @@ val create : Topology.t -> pattern -> p_remote:float -> t
     geometric pattern on a single-node network, or an [Explicit] matrix of
     the wrong shape / with rows not summing to 1. *)
 
-val topology : t -> Topology.t
-
-val pattern : t -> pattern
-
 val p_remote : t -> float
 (** Mean remote fraction over sources (constant for the built-in
     patterns). *)
@@ -62,5 +58,3 @@ val distance_pmf : t -> src:Topology.node -> float array
 val average_distance : t -> src:Topology.node -> float
 (** Mean hops covered by a {e remote} access from [src] (the paper's
     [d_avg]); [nan] when [p_remote = 0]. *)
-
-val pp : Format.formatter -> t -> unit

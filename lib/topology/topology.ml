@@ -22,10 +22,6 @@ let create_nd kind ~dims =
   done;
   { kind; dims; strides; num_nodes = Array.fold_left ( * ) 1 dims }
 
-let hypercube ~dimensions =
-  if dimensions < 1 then invalid_arg "Topology.hypercube: dimensions >= 1";
-  create_nd Torus ~dims:(List.init dimensions (fun _ -> 2))
-
 let create kind ~k =
   if k < 1 then invalid_arg "Topology.create: k >= 1";
   create_nd kind ~dims:[ k; k ]
@@ -35,10 +31,6 @@ let kind t = t.kind
 let dims t = Array.to_list t.dims
 
 let num_dimensions t = Array.length t.dims
-
-let k t =
-  (* Nodes along the first dimension — the paper's [k] for square tori. *)
-  t.dims.(0)
 
 let num_nodes t = t.num_nodes
 

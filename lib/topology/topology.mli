@@ -25,17 +25,10 @@ val create : kind -> k:int -> t
 val create_nd : kind -> dims:int list -> t
 (** [create_nd kind ~dims] builds a general network with [List.nth dims d]
     nodes along dimension [d] (at least one dimension, all [>= 1]).
-    [create kind ~k = create_nd kind ~dims:[k; k]]. *)
-
-val hypercube : dimensions:int -> t
-(** The binary n-cube: a torus with two nodes per dimension (each
-    dimension's +1 and -1 neighbours coincide), [2^dimensions] nodes,
-    degree and diameter both [dimensions]. *)
+    [create kind ~k = create_nd kind ~dims:[k; k]]; a torus with two
+    nodes along every dimension is the binary n-cube. *)
 
 val kind : t -> kind
-
-val k : t -> int
-(** Nodes along the first dimension (the paper's [k] for square tori). *)
 
 val dims : t -> int list
 

@@ -1,0 +1,13 @@
+(* Fixture: uses through a module alias, under [M.( ... )], under
+   [let open M in], and from module-init code. *)
+module W = Lattol_widget.Widget
+
+let alias x = W.through_alias x
+
+let local x = Widget.(under_local_open x)
+
+let let_open x =
+  let open Widget in
+  under_let_open x
+
+let () = Widget.at_init ()

@@ -506,6 +506,97 @@ let test_linearizer_solver_close_to_exact () =
   let err = abs_float (lin.Measures.u_p -. exact.Measures.u_p) /. exact.Measures.u_p in
   if err > 0.005 then Alcotest.failf "Linearizer MMS error %g > 0.5%%" err
 
+(* The Linearizer honours [damping] the way Amva does: damping changes
+   how many sweeps the inner fixed points take, never the fixed point. *)
+let test_linearizer_damping () =
+  let nw =
+    Mms.build_network
+      { default with Params.k = 2; p_remote = 0.6; pattern = Access.Uniform }
+  in
+  let solve ?(tolerance = 1e-8) damping =
+    Linearizer.solve
+      ~options:{ Amva.default_options with Amva.damping; tolerance }
+      nw
+  in
+  let plain = solve 0. in
+  List.iter
+    (fun damping ->
+      let d = solve damping in
+      let what = Printf.sprintf "damping %g" damping in
+      Alcotest.(check bool) (what ^ " converges") true d.Solution.converged;
+      Alcotest.(check bool) (what ^ " changes the sweep count") true
+        (d.Solution.iterations <> plain.Solution.iterations);
+      close ~eps:1e-6 (what ^ " keeps the fixed point")
+        plain.Solution.throughput.(0) d.Solution.throughput.(0))
+    [ 0.5; 0.9 ];
+  List.iter
+    (fun (what, tolerance, damping) ->
+      Alcotest.(check bool) (what ^ " rejected") true
+        (try
+           ignore (solve ~tolerance damping);
+           false
+         with Invalid_argument _ -> true))
+    [
+      ("tolerance 0", 0., 0.); ("damping 1", 1e-8, 1.);
+      ("negative damping", 1e-8, -0.1); ("NaN damping", 1e-8, Float.nan);
+    ]
+
+(* Undamped, the Linearizer keeps every bit it had before damping
+   reached it: the replicated-simulation oracle and [mms profile] solve
+   it undamped.  The lines were recorded from the undamped solver. *)
+let test_linearizer_undamped_pins () =
+  List.iter
+    (fun (p, line) ->
+      Alcotest.(check string) "measures line" line
+        (Lattol_exec.Cache.encode_measures_line
+           (Mms.solve ~solver:Mms.Linearizer_amva p)))
+    [
+      ( default,
+        "u_p=0x1.aff2b83b4d504p-1;lambda=0x1.aff2b83b4d504p-1;"
+        ^ "lambda_net=0x1.598ef9c90aa68p-3;s_obs=0x1.62eb6eac89b8fp+2;"
+        ^ "l_obs=0x1.f1eb2fe874b5bp+1;cycle_time=0x1.2f719fe7937fbp+3;"
+        ^ "util_memory=0x1.aff109ebef46bp-1;"
+        ^ "util_switch_in=0x1.2b7f38e239e5cp-1;"
+        ^ "util_switch_out=0x1.598b9d2a4e937p-2;util_sync=0x0p+0;"
+        ^ "su_obs=0x0p+0;queue_processor=0x1.6c63b9522b171p+1;"
+        ^ "queue_memory=0x1.a4ed41639add8p+1;"
+        ^ "queue_network=0x1.df15810ba192p+0;iterations=2210;"
+        ^ "converged=true" );
+      ( { default with Params.p_remote = 0.6; pattern = Access.Uniform },
+        "u_p=0x1.2bf9b7d1f56a7p-2;lambda=0x1.2bf9b7d1f56a7p-2;"
+        ^ "lambda_net=0x1.67f8762f267fbp-3;s_obs=0x1.470409a0e62d5p+4;"
+        ^ "l_obs=0x1.75f32ac2b244cp+0;cycle_time=0x1.b4f1419475325p+4;"
+        ^ "util_memory=0x1.42742e721b1e1p-2;"
+        ^ "util_switch_in=0x1.af2d20d33d43dp-1;"
+        ^ "util_switch_out=0x1.7e72eccf4c335p-2;util_sync=0x0p+0;"
+        ^ "su_obs=0x0p+0;queue_processor=0x1.8c8f70e59c93bp-2;"
+        ^ "queue_memory=0x1.cbcdb58932127p-2;"
+        ^ "queue_network=0x1.cbd40c620e043p+2;iterations=3674;"
+        ^ "converged=true" );
+      ( { default with Params.k = 2; n_t = 3; p_remote = 0.4 },
+        "u_p=0x1.eab9515369d84p-2;lambda=0x1.eab9515369d84p-2;"
+        ^ "lambda_net=0x1.8894410f87e04p-3;s_obs=0x1.fafbc4d079ce2p+1;"
+        ^ "l_obs=0x1.ad1011e2da305p+0;cycle_time=0x1.90a61fb2ab8adp+2;"
+        ^ "util_memory=0x1.eac95e0da5255p-2;"
+        ^ "util_switch_in=0x1.05c3d111ceb2fp-1;"
+        ^ "util_switch_out=0x1.88a44dc9c32d5p-2;util_sync=0x0p+0;"
+        ^ "su_obs=0x0p+0;queue_processor=0x1.5b4d32a6cb3b6p-1;"
+        ^ "queue_memory=0x1.9b5c8461b3f56p-1;"
+        ^ "queue_network=0x1.84bb8fe2d8ed4p+0;iterations=209;"
+        ^ "converged=true" );
+      ( { default with Params.topology = Topology.Mesh; k = 3; n_t = 4 },
+        "u_p=0x1.5ef91a47b45ep-1;lambda=0x1.5ef91a47b45ep-1;"
+        ^ "lambda_net=0x1.18c748395d17ep-3;s_obs=0x1.1667243767f9dp+2;"
+        ^ "l_obs=0x1.174d61c2d5c81p+1;cycle_time=0x1.7578e1e99a70fp+2;"
+        ^ "util_memory=0x1.5ef91a47b45ep-1;"
+        ^ "util_switch_in=0x1.c621b58fde762p-2;"
+        ^ "util_switch_out=0x1.18c748395d17fp-2;util_sync=0x0p+0;"
+        ^ "su_obs=0x0p+0;queue_processor=0x1.4fbae5124cdabp+0;"
+        ^ "queue_memory=0x1.7eeb92988df64p+0;"
+        ^ "queue_network=0x1.31598855252efp+0;iterations=645;"
+        ^ "converged=true" );
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Memory multiporting *)
 
@@ -1028,50 +1119,6 @@ let test_kernel_ring_shift () =
   close "next neighbour" 0.5 m.(3).(4);
   close "wraps" 0.5 m.(7).(0);
   close "self" 0.5 m.(7).(7)
-
-(* ------------------------------------------------------------------ *)
-(* Optimizer *)
-
-let test_optimizer_baseline_included () =
-  let all = Optimizer.search ~base:default ~budget:0. (Optimizer.standard_upgrades ()) in
-  (match all with
-  | [ only ] ->
-    Alcotest.(check (list string)) "baseline only" [] only.Optimizer.applied;
-    close ~eps:1e-9 "baseline U_p" (Mms.solve default).Measures.u_p
-      only.Optimizer.u_p
-  | l -> Alcotest.failf "expected 1 configuration at zero budget, got %d"
-           (List.length l))
-
-let test_optimizer_monotone_in_budget () =
-  let base = { default with Params.p_remote = 0.4 } in
-  let u budget =
-    (Optimizer.best ~base ~budget (Optimizer.standard_upgrades ())).Optimizer.u_p
-  in
-  Alcotest.(check bool) "more budget never hurts" true
-    (u 0. <= u 4. && u 4. <= u 8.);
-  Alcotest.(check bool) "budget helps at all" true (u 8. > u 0. +. 0.05)
-
-let test_optimizer_respects_budget () =
-  let base = { default with Params.p_remote = 0.4 } in
-  List.iter
-    (fun c ->
-      if c.Optimizer.total_cost > 5. +. 1e-9 then
-        Alcotest.failf "configuration over budget: %g" c.Optimizer.total_cost)
-    (Optimizer.search ~base ~budget:5. (Optimizer.standard_upgrades ()))
-
-let test_optimizer_validation () =
-  Alcotest.(check bool) "negative budget" true
-    (try
-       ignore (Optimizer.search ~base:default ~budget:(-1.) []);
-       false
-     with Invalid_argument _ -> true);
-  Alcotest.(check bool) "zero-cost upgrade" true
-    (try
-       ignore
-         (Optimizer.search ~base:default ~budget:1.
-            [ { Optimizer.description = "free"; cost = 0.; apply = Fun.id } ]);
-       false
-     with Invalid_argument _ -> true)
 
 (* ------------------------------------------------------------------ *)
 (* Report *)
@@ -1599,6 +1646,9 @@ let () =
             test_dimensions_ablation_order;
           Alcotest.test_case "Linearizer solver" `Quick
             test_linearizer_solver_close_to_exact;
+          Alcotest.test_case "Linearizer damping" `Quick test_linearizer_damping;
+          Alcotest.test_case "Linearizer undamped pins" `Quick
+            test_linearizer_undamped_pins;
         ] );
       ( "mem-ports",
         [
@@ -1683,15 +1733,6 @@ let () =
           Alcotest.test_case "validation" `Quick test_kernel_validation;
           Alcotest.test_case "listing" `Quick test_kernel_all_listing;
           Alcotest.test_case "ring shift" `Quick test_kernel_ring_shift;
-        ] );
-      ( "optimizer",
-        [
-          Alcotest.test_case "baseline included" `Quick
-            test_optimizer_baseline_included;
-          Alcotest.test_case "monotone in budget" `Quick
-            test_optimizer_monotone_in_budget;
-          Alcotest.test_case "respects budget" `Quick test_optimizer_respects_budget;
-          Alcotest.test_case "validation" `Quick test_optimizer_validation;
         ] );
       ( "report",
         [

@@ -125,6 +125,32 @@ let test_hot_alloc_fires () =
   Alcotest.(check (list string))
     "per-iteration boxing in the hot region" [ "hot-alloc" ] rules
 
+(* dead-export: a library interface value stays alive exactly as long as
+   some other unit names it. *)
+let dead_exports ~users =
+  let exports =
+    Callgraph.exports ~file:"lib/w/widget.mli"
+      (Parse.interface (Lexing.from_string "val f : int -> int\n"))
+  in
+  let summaries =
+    summarize ~file:"lib/w/widget.ml" "let f x = x + 1\nlet g x = f x\n"
+    :: List.map (fun (f, s) -> summarize ~file:f s) users
+  in
+  let fired = ref [] in
+  Reach.analyze (Reach.build ~exports summaries [])
+    ~enabled:(String.equal "dead-export")
+    ~report:(fun ~rule:_ ~file:_ ~pos:_ ~message -> fired := message :: !fired);
+  !fired
+
+let test_dead_export_on_last_reference () =
+  Alcotest.(check int) "a test's reference keeps the val alive" 0
+    (List.length
+       (dead_exports ~users:[ ("test/test_w.ml", "let () = ignore (Widget.f 1)\n") ]));
+  Alcotest.(check (list string))
+    "deleting that reference makes the rule fire"
+    [ "Widget.f is exported but no other unit uses it" ]
+    (dead_exports ~users:[ ("test/test_w.ml", "let () = ignore 1\n") ])
+
 (* ------------------------------------------------------------------ *)
 (* Reachability closure: determinism and monotonicity *)
 
@@ -197,6 +223,8 @@ let () =
           Alcotest.test_case "protected access is silent" `Quick
             test_phase2_silent_when_protected;
           Alcotest.test_case "hot-alloc fires" `Quick test_hot_alloc_fires;
+          Alcotest.test_case "dead-export fires on the last reference" `Quick
+            test_dead_export_on_last_reference;
         ] );
       ( "reachability",
         List.map QCheck_alcotest.to_alcotest

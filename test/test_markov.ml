@@ -57,50 +57,6 @@ let test_expected_and_flow () =
   let f10 = Ctmc.flow c ~pi ~select:(fun ~src ~dst -> src = 1 && dst = 0) in
   close ~eps:1e-9 "balanced flux" f01 f10
 
-let test_transient_two_state_analytic () =
-  (* pi1(t) = (a/(a+b)) (1 - e^{-(a+b)t}) starting from state 0. *)
-  let a = 1.0 and b = 3.0 in
-  let c = Ctmc.create 2 in
-  Ctmc.add_rate c ~src:0 ~dst:1 a;
-  Ctmc.add_rate c ~src:1 ~dst:0 b;
-  List.iter
-    (fun t ->
-      let pt = Ctmc.transient c ~initial:[| 1.; 0. |] ~time:t in
-      let analytic = a /. (a +. b) *. (1. -. exp (-.(a +. b) *. t)) in
-      close ~eps:1e-7 (Printf.sprintf "pi1(%g)" t) analytic pt.(1))
-    [ 0.; 0.1; 0.5; 2.; 10. ]
-
-let test_transient_converges_to_steady_state () =
-  let births = [| 2.; 1.5; 1. |] and deaths = [| 1.; 1.; 2. |] in
-  let c = Birth_death.to_ctmc ~births ~deaths in
-  let steady = Ctmc.steady_state c in
-  let initial = [| 1.; 0.; 0.; 0. |] in
-  let long = Ctmc.transient c ~initial ~time:200. in
-  Array.iteri
-    (fun i pi -> close ~eps:1e-6 (Printf.sprintf "state %d" i) pi long.(i))
-    steady
-
-let test_transient_conserves_mass () =
-  let births = [| 1.; 1. |] and deaths = [| 2.; 2. |] in
-  let c = Birth_death.to_ctmc ~births ~deaths in
-  let pt = Ctmc.transient c ~initial:[| 0.; 1.; 0. |] ~time:3.7 in
-  close ~eps:1e-9 "sums to 1" 1. (Array.fold_left ( +. ) 0. pt)
-
-let test_transient_validation () =
-  let c = Ctmc.create 2 in
-  Ctmc.add_rate c ~src:0 ~dst:1 1.;
-  Ctmc.add_rate c ~src:1 ~dst:0 1.;
-  Alcotest.(check bool) "bad initial" true
-    (try
-       ignore (Ctmc.transient c ~initial:[| 0.5; 0.4 |] ~time:1.);
-       false
-     with Invalid_argument _ -> true);
-  Alcotest.(check bool) "negative time" true
-    (try
-       ignore (Ctmc.transient c ~initial:[| 1.; 0. |] ~time:(-1.));
-       false
-     with Invalid_argument _ -> true)
-
 (* ------------------------------------------------------------------ *)
 (* Birth-death *)
 
@@ -302,12 +258,6 @@ let () =
           Alcotest.test_case "rate accumulation" `Quick test_rate_accumulates;
           Alcotest.test_case "validation" `Quick test_ctmc_validation;
           Alcotest.test_case "expected and flow" `Quick test_expected_and_flow;
-          Alcotest.test_case "transient analytic" `Quick
-            test_transient_two_state_analytic;
-          Alcotest.test_case "transient -> steady state" `Quick
-            test_transient_converges_to_steady_state;
-          Alcotest.test_case "transient mass" `Quick test_transient_conserves_mass;
-          Alcotest.test_case "transient validation" `Quick test_transient_validation;
         ] );
       ( "birth-death",
         [

@@ -45,22 +45,6 @@ let test_metrics_instruments () =
     (Lattol_stats.Histogram.count (Metrics.histogram_data h));
   Alcotest.(check int) "size" 3 (Metrics.size reg)
 
-let test_metrics_twa () =
-  let reg = Metrics.create () in
-  let w = Metrics.time_weighted reg "queue" in
-  Alcotest.(check bool) "nan before data" true
-    (Float.is_nan (Metrics.twa_value w));
-  Metrics.observe_twa w ~now:0. 2.;
-  Metrics.observe_twa w ~now:10. 4.;
-  check_float "constant so far" 2. (Metrics.twa_value w);
-  Metrics.observe_twa w ~now:20. 0.;
-  check_float "time-weighted" 3. (Metrics.twa_value w);
-  Alcotest.(check bool) "time going backwards rejected" true
-    (try
-       Metrics.observe_twa w ~now:5. 1.;
-       false
-     with Invalid_argument _ -> true)
-
 let test_metrics_duplicate_rejected () =
   let reg = Metrics.create () in
   ignore (Metrics.counter reg ~labels:[ ("station", "mem0") ] "util");
@@ -112,7 +96,7 @@ let test_metrics_sinks () =
         ])
 
 (* ------------------------------------------------------------------ *)
-(* Metrics snapshots and merging *)
+(* Metrics snapshots *)
 
 let test_snapshot_point_in_time () =
   let reg = Metrics.create () in
@@ -137,169 +121,6 @@ let test_snapshot_point_in_time () =
          close_out oc;
          read_file file))
     (Metrics.json_of_snapshot (Metrics.snapshot reg))
-
-let find_series name snap =
-  List.find (fun s -> String.equal s.Metrics.s_name name) snap
-
-let test_merge_kinds () =
-  let a = Metrics.create () and b = Metrics.create () in
-  Metrics.incr ~by:2 (Metrics.counter a "events");
-  Metrics.incr ~by:5 (Metrics.counter b "events");
-  Metrics.set_gauge (Metrics.gauge a "u_p") 1.;
-  Metrics.set_gauge (Metrics.gauge b "u_p") 2.;
-  Metrics.set_gauge (Metrics.gauge a "stale") 3.;
-  Metrics.set_gauge (Metrics.gauge b "stale") Float.nan;
-  Metrics.set_gauge (Metrics.gauge b "only_b") 7.;
-  let wa = Metrics.time_weighted a "queue" in
-  Metrics.observe_twa wa ~now:0. 2.;
-  Metrics.observe_twa wa ~now:10. 2.;
-  let wb = Metrics.time_weighted b "queue" in
-  Metrics.observe_twa wb ~now:0. 4.;
-  Metrics.observe_twa wb ~now:30. 4.;
-  let ha = Metrics.histogram a ~hi:10. ~bins:5 "lat" in
-  List.iter (Metrics.record ha) [ 1.; 3. ];
-  let hb = Metrics.histogram b ~hi:10. ~bins:5 "lat" in
-  List.iter (Metrics.record hb) [ 3.; 99. ];
-  let snap = Metrics.snapshot (Metrics.merge a b) in
-  (match (find_series "events" snap).Metrics.s_value with
-  | Metrics.Counter_v v -> Alcotest.(check int) "counters sum" 7 v
-  | _ -> Alcotest.fail "events not a counter");
-  (match (find_series "u_p" snap).Metrics.s_value with
-  | Metrics.Gauge_v v -> check_float "gauge last write wins" 2. v
-  | _ -> Alcotest.fail "u_p not a gauge");
-  (match (find_series "stale" snap).Metrics.s_value with
-  | Metrics.Gauge_v v -> check_float "nan does not clobber" 3. v
-  | _ -> Alcotest.fail "stale not a gauge");
-  (match (find_series "only_b" snap).Metrics.s_value with
-  | Metrics.Gauge_v v -> check_float "one-sided series kept" 7. v
-  | _ -> Alcotest.fail "only_b not a gauge");
-  (match (find_series "queue" snap).Metrics.s_value with
-  | Metrics.Twa_v v ->
-    (* span-weighted: (2*10 + 4*30) / (10 + 30) *)
-    check_float "twa span-weighted" 3.5 v
-  | _ -> Alcotest.fail "queue not a twa");
-  (match (find_series "lat" snap).Metrics.s_value with
-  | Metrics.Hist_v (hd, _) ->
-    Alcotest.(check int) "histograms add bin-wise, outliers included" 4
-      (Lattol_stats.Histogram.count hd)
-  | _ -> Alcotest.fail "lat not a histogram");
-  (* a shared name with different kinds is a hard error *)
-  let ka = Metrics.create () and kb = Metrics.create () in
-  ignore (Metrics.counter ka "x");
-  ignore (Metrics.gauge kb "x");
-  Alcotest.(check bool) "kind mismatch rejected" true
-    (try
-       ignore (Metrics.merge ka kb);
-       false
-     with Invalid_argument _ -> true)
-
-(* Property tests: merge on the commutative kinds (counters, histograms)
-   is order-insensitive, and merge on everything is associative.  A
-   registry is generated from a per-name spec over a small pool so that
-   collisions between the two sides actually happen. *)
-
-type mspec =
-  | No_series
-  | Spec_counter of int
-  | Spec_gauge of float
-  | Spec_hist of float list
-
-(* Every pool name has one fixed kind — merge treats a shared name with
-   two kinds as a hard error, so only presence and payload vary. *)
-let merge_name_pool =
-  [|
-    ("alpha", `C); ("beta", `H); ("gamma", `C); ("delta", `H);
-    ("eps", `G); ("zeta", `G);
-  |]
-
-let reg_of_spec spec =
-  let reg = Metrics.create () in
-  Array.iteri
-    (fun i s ->
-      let name, _ = merge_name_pool.(i) in
-      match s with
-      | No_series -> ()
-      | Spec_counter n -> Metrics.incr ~by:n (Metrics.counter reg name)
-      | Spec_gauge v -> Metrics.set_gauge (Metrics.gauge reg name) v
-      | Spec_hist samples ->
-        let h = Metrics.histogram reg ~hi:10. ~bins:5 name in
-        List.iter (Metrics.record h) samples)
-    spec;
-  reg
-
-let mspec_gen ~gauges i =
-  let open QCheck.Gen in
-  let _, kind = merge_name_pool.(i) in
-  let payload =
-    match kind with
-    | `C -> map (fun n -> Spec_counter n) (int_range 0 100)
-    | `H ->
-      map
-        (fun l -> Spec_hist l)
-        (list_size (int_range 0 6) (float_range (-5.) 15.))
-    | `G ->
-      if gauges then map (fun v -> Spec_gauge v) (float_range (-100.) 100.)
-      else return No_series
-  in
-  frequency [ (1, return No_series); (3, payload) ]
-
-let spec_print spec =
-  String.concat ";"
-    (Array.to_list
-       (Array.mapi
-          (fun i s ->
-            fst merge_name_pool.(i)
-            ^ "="
-            ^
-            match s with
-            | No_series -> "_"
-            | Spec_counter n -> Printf.sprintf "c%d" n
-            | Spec_gauge v -> Printf.sprintf "g%h" v
-            | Spec_hist l ->
-              "h[" ^ String.concat "," (List.map (Printf.sprintf "%h") l) ^ "]")
-          spec))
-
-let spec_arb ~gauges =
-  let open QCheck.Gen in
-  let gen =
-    map Array.of_list
-      (flatten_l
-         (List.init (Array.length merge_name_pool) (mspec_gen ~gauges)))
-  in
-  QCheck.make ~print:spec_print gen
-
-(* Order-insensitive fingerprint of the commutative series: each series
-   rendered alone through the JSON sink, then sorted. *)
-let sorted_fingerprint reg =
-  List.sort String.compare
-    (List.map
-       (fun s -> Metrics.json_of_snapshot [ s ])
-       (Metrics.snapshot reg))
-
-let prop_merge_commutative =
-  QCheck.Test.make ~name:"merge of counters+histograms is commutative"
-    ~count:100
-    QCheck.(pair (spec_arb ~gauges:false) (spec_arb ~gauges:false))
-    (fun (sa, sb) ->
-      let a = reg_of_spec sa and b = reg_of_spec sb in
-      List.equal String.equal
-        (sorted_fingerprint (Metrics.merge a b))
-        (sorted_fingerprint (Metrics.merge b a)))
-
-let prop_merge_associative =
-  QCheck.Test.make ~name:"merge is associative (gauges included)" ~count:100
-    QCheck.(
-      triple (spec_arb ~gauges:true) (spec_arb ~gauges:true)
-        (spec_arb ~gauges:true))
-    (fun (sa, sb, sc) ->
-      let a = reg_of_spec sa
-      and b = reg_of_spec sb
-      and c = reg_of_spec sc in
-      String.equal
-        (Metrics.json_of_snapshot
-           (Metrics.snapshot (Metrics.merge (Metrics.merge a b) c)))
-        (Metrics.json_of_snapshot
-           (Metrics.snapshot (Metrics.merge a (Metrics.merge b c)))))
 
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
@@ -999,7 +820,6 @@ let () =
       ( "metrics",
         [
           Alcotest.test_case "instruments" `Quick test_metrics_instruments;
-          Alcotest.test_case "time-weighted average" `Quick test_metrics_twa;
           Alcotest.test_case "duplicate rejected" `Quick
             test_metrics_duplicate_rejected;
           Alcotest.test_case "sinks" `Quick test_metrics_sinks;
@@ -1008,9 +828,7 @@ let () =
         [
           Alcotest.test_case "snapshot is point-in-time" `Quick
             test_snapshot_point_in_time;
-          Alcotest.test_case "merge by kind" `Quick test_merge_kinds;
-        ]
-        @ qcheck [ prop_merge_commutative; prop_merge_associative ] );
+        ] );
       ( "events",
         [
           Alcotest.test_case "capacity" `Quick test_events_capacity;

@@ -167,55 +167,6 @@ let test_supervisor_agrees_with_direct_solve () =
     close ~eps:1e-6 "u_p agrees" direct.Measures.u_p m.Measures.u_p;
     close ~eps:1e-6 "lambda agrees" direct.Measures.lambda m.Measures.lambda
 
-let test_supervisor_rung_spans () =
-  (* With a causal context, every rung lands one "solve"-cat span whose
-     meta names solver/damping/budget and the outcome; the accepted rung
-     is the last.  An untraced solve must record nothing. *)
-  let module Tc = Lattol_obs.Trace_ctx in
-  let r = Tc.create ~root:"rungs" () in
-  (match
-     Supervisor.solve ~base_iterations:8 ~causal:(Tc.root_ctx r)
-       ill_conditioned
-   with
-  | Error _ -> Alcotest.fail "ladder must recover"
-  | Ok (_, d) ->
-    let rungs =
-      List.filter
-        (fun (s : Tc.span) ->
-          String.equal s.cat "solve"
-          && String.length s.name >= 4
-          && String.equal (String.sub s.name 0 4) "rung")
-        (Tc.spans r)
-    in
-    Alcotest.(check int) "one span per attempt"
-      (List.length d.Supervisor.attempts)
-      (List.length rungs);
-    List.iter
-      (fun (s : Tc.span) ->
-        List.iter
-          (fun k ->
-            if not (List.mem_assoc k s.meta) then
-              Alcotest.failf "rung span %s missing %s" s.name k)
-          [ "solver"; "damping"; "budget"; "outcome" ])
-      rungs;
-    match List.rev rungs with
-    | last :: earlier ->
-      Alcotest.(check string) "last rung accepted" "accepted"
-        (List.assoc "outcome" last.meta);
-      List.iter
-        (fun (s : Tc.span) ->
-          Alcotest.(check bool)
-            (s.name ^ " earlier rung did not accept")
-            false
-            (String.equal (List.assoc "outcome" s.meta) "accepted"))
-        earlier
-    | [] -> Alcotest.fail "no rung spans recorded");
-  let quiet = Tc.create ~root:"quiet" () in
-  (match Supervisor.solve default with
-  | Ok _ -> ()
-  | Error _ -> Alcotest.fail "default params must converge");
-  Alcotest.(check int) "untraced solve records nothing" 0 (Tc.count quiet)
-
 (* ------------------------------------------------------------------ *)
 (* Fault plans *)
 
@@ -496,7 +447,6 @@ let () =
             test_supervisor_all_rungs_fail;
           Alcotest.test_case "agrees with direct solve" `Quick
             test_supervisor_agrees_with_direct_solve;
-          Alcotest.test_case "rung spans" `Quick test_supervisor_rung_spans;
         ] );
       ( "chaos",
         [

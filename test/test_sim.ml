@@ -387,36 +387,6 @@ let test_station_priority_vs_cobham () =
       Alcotest.failf "class %d response %g vs Cobham %g" cls measured expected
   done
 
-let test_des_replications () =
-  let p = { Params.default with Params.k = 2; n_t = 2 } in
-  let cfg = { Mms_des.default_config with Mms_des.horizon = 5_000. } in
-  let first, (mean, half) = Mms_des.run_replications ~config:cfg ~replications:5 p in
-  Alcotest.(check bool) "mean near first run" true
-    (abs_float (mean -. first.Mms_des.measures.Measures.u_p) < 0.05);
-  Alcotest.(check bool) "half-width sane" true (half > 0. && half < 0.1);
-  Alcotest.(check bool) "too few replications rejected" true
-    (try
-       ignore (Mms_des.run_replications ~config:cfg ~replications:1 p);
-       false
-     with Invalid_argument _ -> true)
-
-let test_des_adaptive_precision () =
-  let p = { Params.default with Params.k = 2; n_t = 2 } in
-  let r =
-    Mms_des.run_until_precision ~target_rel_error:0.02 ~max_horizon:400_000. p
-  in
-  let mean, half = r.Mms_des.u_p_ci in
-  Alcotest.(check bool) "target met or capped" true
-    (half /. mean <= 0.02 || r.Mms_des.sim_time >= 399_999.);
-  Alcotest.(check bool) "ran at least the minimum" true
-    (r.Mms_des.sim_time >= 20_000.);
-  Alcotest.(check bool) "bad target rejected" true
-    (try
-       ignore
-         (Mms_des.run_until_precision ~target_rel_error:0. ~max_horizon:1e6 p);
-       false
-     with Invalid_argument _ -> true)
-
 (* ------------------------------------------------------------------ *)
 (* Generic network simulator *)
 
@@ -770,8 +740,6 @@ let () =
           Alcotest.test_case "deterministic service" `Slow
             test_des_deterministic_service_variant;
           Alcotest.test_case "validation" `Quick test_des_validation;
-          Alcotest.test_case "adaptive precision" `Slow test_des_adaptive_precision;
-          Alcotest.test_case "replications" `Slow test_des_replications;
         ] );
       ( "network-sim",
         [

@@ -351,52 +351,6 @@ let test_interval_coverage () =
   if coverage < 0.88 || coverage > 0.99 then
     Alcotest.failf "coverage %g out of [0.88, 0.99]" coverage
 
-let test_batch_means () =
-  let b = Confidence.Batch_means.create ~batch_size:10 in
-  for i = 1 to 100 do
-    Confidence.Batch_means.add b (float_of_int (i mod 10))
-  done;
-  Alcotest.(check int) "10 batches" 10 (Confidence.Batch_means.num_batches b);
-  close "grand mean" 4.5 (Confidence.Batch_means.mean b);
-  (* all batch means identical -> zero-width interval *)
-  (match Confidence.Batch_means.interval b with
-  | Some (_, half) -> close "zero half-width" 0. half
-  | None -> Alcotest.fail "interval expected");
-  close "relative error 0" 0. (Confidence.Batch_means.relative_error b)
-
-let test_autocorrelation_ar1 () =
-  (* AR(1): x_t = phi x_{t-1} + eps has autocorrelation phi^k at lag k. *)
-  let phi = 0.8 in
-  let rng = Prng.create ~seed:47 () in
-  let n = 200_000 in
-  let series = Array.make n 0. in
-  for t = 1 to n - 1 do
-    series.(t) <-
-      (phi *. series.(t - 1))
-      +. (Variate.exponential rng ~mean:1. -. 1.)
-  done;
-  close ~eps:0.02 "lag 1" phi (Confidence.autocorrelation series ~lag:1);
-  close ~eps:0.02 "lag 3" (phi ** 3.) (Confidence.autocorrelation series ~lag:3);
-  close ~eps:1e-9 "lag 0 is 1" 1. (Confidence.autocorrelation series ~lag:0)
-
-let test_batch_size_suggestion () =
-  (* iid noise needs the minimum batch; AR(1) needs a longer one. *)
-  let rng = Prng.create ~seed:53 () in
-  let iid = Array.init 10_000 (fun _ -> Prng.float rng) in
-  Alcotest.(check int) "iid -> 10" 10 (Confidence.suggest_batch_size iid);
-  let phi = 0.9 in
-  let ar = Array.make 50_000 0. in
-  for t = 1 to Array.length ar - 1 do
-    ar.(t) <- (phi *. ar.(t - 1)) +. Prng.float rng -. 0.5
-  done;
-  Alcotest.(check bool) "correlated -> larger" true
-    (Confidence.suggest_batch_size ar >= 100);
-  Alcotest.(check bool) "bad threshold" true
-    (try
-       ignore (Confidence.suggest_batch_size ~threshold:0. iid);
-       false
-     with Invalid_argument _ -> true)
-
 (* ------------------------------------------------------------------ *)
 (* Histogram *)
 
@@ -628,11 +582,6 @@ let () =
         [
           Alcotest.test_case "t quantile" `Quick test_t_quantile;
           Alcotest.test_case "interval coverage" `Slow test_interval_coverage;
-          Alcotest.test_case "batch means" `Quick test_batch_means;
-          Alcotest.test_case "autocorrelation AR(1)" `Slow
-            test_autocorrelation_ar1;
-          Alcotest.test_case "batch size suggestion" `Quick
-            test_batch_size_suggestion;
         ] );
       ( "histogram",
         [

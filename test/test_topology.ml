@@ -248,7 +248,8 @@ let test_translate_subtract () =
      with Invalid_argument _ -> true)
 
 let test_hypercube () =
-  let h = Topology.hypercube ~dimensions:4 in
+  (* The binary 4-cube is the side-2 torus, as Params builds it at k = 2. *)
+  let h = Topology.create_nd Topology.Torus ~dims:[ 2; 2; 2; 2 ] in
   Alcotest.(check int) "nodes" 16 (Topology.num_nodes h);
   Alcotest.(check int) "degree" 4 (List.length (Topology.neighbours h 0));
   Alcotest.(check int) "diameter" 4 (Topology.max_distance h);
