@@ -53,9 +53,9 @@ type point = {
   tol_network : float;
 }
 
-let evaluate ?solver t ~base ~n_t =
+let evaluate t ~base ~n_t =
   let p = apply t ~base ~n_t in
-  let report = Tolerance.network ?solver p in
+  let report = Tolerance.network p in
   {
     n_t;
     effective_runlength = p.Params.runlength;
@@ -64,13 +64,12 @@ let evaluate ?solver t ~base ~n_t =
     tol_network = report.Tolerance.tol;
   }
 
-let sweep ?solver t ~base ~n_ts =
-  List.map (fun n_t -> evaluate ?solver t ~base ~n_t) n_ts
+let sweep t ~base ~n_ts = List.map (fun n_t -> evaluate t ~base ~n_t) n_ts
 
-let best_thread_count ?solver t ~base ~max_threads =
+let best_thread_count t ~base ~max_threads =
   if max_threads < 1 then
     invalid_arg "Cache_effects.best_thread_count: max_threads >= 1";
-  let points = sweep ?solver t ~base ~n_ts:(List.init max_threads succ) in
+  let points = sweep t ~base ~n_ts:(List.init max_threads succ) in
   match points with
   | [] -> assert false
   | first :: rest ->

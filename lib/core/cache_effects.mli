@@ -52,9 +52,9 @@ type point = {
   tol_network : float;
 }
 
-val sweep : ?solver:Mms.solver -> t -> base:Params.t -> n_ts:int list -> point list
+val sweep : t -> base:Params.t -> n_ts:int list -> point list
 
-val best_thread_count : ?solver:Mms.solver -> t -> base:Params.t -> max_threads:int -> point
+val best_thread_count : t -> base:Params.t -> max_threads:int -> point
 (** The utilization-maximizing thread count in [1 .. max_threads] — interior
     when cache contention bites, unlike the contention-free model where
     more threads never hurt. *)

@@ -37,7 +37,7 @@ let group_params base g =
       pattern = g.pattern;
     }
 
-let solve ?(solver = `Amva) ~base groups =
+let solve ~base groups =
   if groups = [] then invalid_arg "Hetero.solve: no thread groups";
   List.iter
     (fun g ->
@@ -72,11 +72,7 @@ let solve ?(solver = `Amva) ~base groups =
          groups)
   in
   let network = Network.make ~stations ~classes in
-  let solution =
-    match solver with
-    | `Amva -> Amva.solve network
-    | `Linearizer -> Linearizer.solve network
-  in
+  let solution = Amva.solve network in
   let per_group gi g =
     let gp = group_params base g in
     let access = Params.make_access gp in

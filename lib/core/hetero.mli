@@ -40,10 +40,9 @@ type t = {
   converged : bool;
 }
 
-val solve :
-  ?solver:[ `Amva | `Linearizer ] -> base:Params.t -> group list -> t
+val solve : base:Params.t -> group list -> t
 (** Solve the machine described by [base] (topology, [L], [S], ports, SU)
-    populated with the given kinds on every processor.  [base]'s own
+    populated with the given kinds on every processor, by AMVA.  [base]'s own
     [n_t]/[runlength]/[p_remote]/[pattern] are ignored.  Raises
     [Invalid_argument] on empty or invalid groups, or on a non-torus
     machine (the expansion relies on node symmetry only for reporting;

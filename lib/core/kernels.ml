@@ -67,12 +67,11 @@ let matrix kernel topo ~compute =
         row
       end)
 
-let to_params ?n_t ~base kernel ~compute ~runlength =
+let to_params ~base kernel ~compute ~runlength =
   let topo = Params.make_topology base in
   Params.validate_exn
     {
       base with
-      Params.n_t = Option.value n_t ~default:base.Params.n_t;
       runlength;
       pattern = Access.Explicit (matrix kernel topo ~compute);
     }
@@ -85,10 +84,10 @@ let all ~num_nodes =
   [ Nearest_neighbour; Transpose; Reduction; Ring_shift; All_to_all ]
   @ stages 0 []
 
-let compare_kernels ?n_t ~base ~compute ~runlength kernels =
+let compare_kernels ~base ~compute ~runlength kernels =
   List.map
     (fun kernel ->
-      let p = to_params ?n_t ~base kernel ~compute ~runlength in
+      let p = to_params ~base kernel ~compute ~runlength in
       let report = Tolerance.network p in
       (kernel, report.Tolerance.real, report.Tolerance.tol))
     kernels

@@ -40,7 +40,7 @@ val matrix : kernel -> Topology.t -> compute:float -> float array array
     fraction.  Raises [Invalid_argument] for kernels that do not fit the
     topology (e.g. {!Transpose} on a ring). *)
 
-val to_params : ?n_t:int -> base:Params.t -> kernel -> compute:float ->
+val to_params : base:Params.t -> kernel -> compute:float ->
   runlength:float -> Params.t
 
 val kernel_to_string : kernel -> string
@@ -50,7 +50,7 @@ val all : num_nodes:int -> kernel list
     to the largest power of two below the node count). *)
 
 val compare_kernels :
-  ?n_t:int -> base:Params.t -> compute:float -> runlength:float ->
+  base:Params.t -> compute:float -> runlength:float ->
   kernel list -> (kernel * Measures.t * float) list
 (** Solve each kernel's machine and report [(kernel, measures,
     tol_network)]. *)

@@ -150,7 +150,7 @@ type sweep_floats = { mutable lam : float; mutable residual : float }
 
 let solve_symmetric ?(tolerance = 1e-10) ?(max_iterations = 100_000)
     ?(damping = 0.) ?on_sweep m =
-  if damping < 0. || damping >= 1. then
+  if not (damping >= 0. && damping < 1.) then
     invalid_arg "Mms.solve_symmetric: damping in [0, 1)";
   let p = m.p and n = m.n in
   let nst = num_stations p in
@@ -563,12 +563,12 @@ let zero_measures =
     converged = true;
   }
 
-let solve ?solver ?tolerance ?max_iterations ?damping ?on_sweep p =
+let solve ?solver ?tolerance ?max_iterations ?on_sweep p =
   let p = Params.validate_exn p in
   if p.Params.n_t = 0 then zero_measures
   else begin
     let m = machine p in
-    match run ?solver ?tolerance ?max_iterations ?damping ?on_sweep m with
+    match run ?solver ?tolerance ?max_iterations ?on_sweep m with
     | Orbit o -> measures_of_orbit m o
     | Full s -> measures_of_full m s
   end

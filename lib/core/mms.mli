@@ -99,7 +99,6 @@ val solve_network :
 
 val solve :
   ?solver:solver -> ?tolerance:float -> ?max_iterations:int ->
-  ?damping:float ->
   ?on_sweep:(iteration:int -> residual:float -> Lattol_queueing.Amva.progress) ->
   Params.t -> Measures.t
 (** End-to-end: validate parameters, solve, extract the paper's measures

@@ -7,12 +7,12 @@ type point = {
   tol_memory : float;
 }
 
-let evaluate ?solver ?ideal_method base ~n_t ~runlength =
+let evaluate base ~n_t ~runlength =
   if n_t < 1 then invalid_arg "Partitioning.evaluate: n_t >= 1";
   if runlength <= 0. then invalid_arg "Partitioning.evaluate: runlength > 0";
   let p = { base with Params.n_t; runlength } in
-  let net = Tolerance.network ?solver ?ideal_method p in
-  let mem = Tolerance.memory ?solver p in
+  let net = Tolerance.network p in
+  let mem = Tolerance.memory p in
   {
     n_t;
     runlength;
@@ -22,12 +22,10 @@ let evaluate ?solver ?ideal_method base ~n_t ~runlength =
     tol_memory = mem.Tolerance.tol;
   }
 
-let sweep ?solver ?ideal_method base ~work ~n_ts =
+let sweep base ~work ~n_ts =
   if work <= 0. then invalid_arg "Partitioning.sweep: work > 0";
   List.map
-    (fun n_t ->
-      evaluate ?solver ?ideal_method base ~n_t
-        ~runlength:(work /. float_of_int n_t))
+    (fun n_t -> evaluate base ~n_t ~runlength:(work /. float_of_int n_t))
     n_ts
 
 let best = function

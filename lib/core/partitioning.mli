@@ -17,15 +17,11 @@ type point = {
   tol_memory : float;
 }
 
-val evaluate :
-  ?solver:Mms.solver -> ?ideal_method:Tolerance.ideal_method -> Params.t ->
-  n_t:int -> runlength:float -> point
+val evaluate : Params.t -> n_t:int -> runlength:float -> point
 (** One partitioning choice: the base parameters with [n_t] and [R]
     replaced. *)
 
-val sweep :
-  ?solver:Mms.solver -> ?ideal_method:Tolerance.ideal_method -> Params.t ->
-  work:float -> n_ts:int list -> point list
+val sweep : Params.t -> work:float -> n_ts:int list -> point list
 (** Points for each [n_t], with [R = work / n_t].  [n_t] values that do not
     divide into a positive runlength are rejected. *)
 

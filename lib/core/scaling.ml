@@ -12,11 +12,9 @@ type point = {
   throughput_ideal : float;
 }
 
-let evaluate ?solver base ~k pattern =
+let evaluate base ~k pattern =
   let p = { base with Params.k; pattern } in
-  let report =
-    Tolerance.network ?solver ~ideal_method:Tolerance.Zero_delay p
-  in
+  let report = Tolerance.network ~ideal_method:Tolerance.Zero_delay p in
   let real = report.Tolerance.real and ideal = report.Tolerance.ideal in
   let n = Params.num_processors p in
   {
@@ -31,9 +29,9 @@ let evaluate ?solver base ~k pattern =
     throughput_ideal = Measures.system_throughput ideal ~num_processors:n;
   }
 
-let sweep ?solver base ~ks ~patterns =
+let sweep base ~ks ~patterns =
   List.concat_map
-    (fun k -> List.map (fun pattern -> evaluate ?solver base ~k pattern) patterns)
+    (fun k -> List.map (fun pattern -> evaluate base ~k pattern) patterns)
     ks
 
 let pattern_to_string = function

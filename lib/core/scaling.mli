@@ -22,11 +22,9 @@ type point = {
   throughput_ideal : float;
 }
 
-val evaluate : ?solver:Mms.solver -> Params.t -> k:int -> Access.pattern -> point
+val evaluate : Params.t -> k:int -> Access.pattern -> point
 
-val sweep :
-  ?solver:Mms.solver -> Params.t -> ks:int list -> patterns:Access.pattern list ->
-  point list
+val sweep : Params.t -> ks:int list -> patterns:Access.pattern list -> point list
 (** Cartesian sweep, ordered patterns-within-k. *)
 
 val pp_point : Format.formatter -> point -> unit

@@ -57,10 +57,10 @@ let analyze ?solver ?(rel_step = 0.05) p =
   in
   List.filter_map Fun.id results
 
-let ranked ?solver ?rel_step p =
+let ranked ?solver p =
   List.sort
     (fun a b -> Float.compare (abs_float b.elasticity) (abs_float a.elasticity))
-    (analyze ?solver ?rel_step p)
+    (analyze ?solver p)
 
 let pp_derivative ppf d =
   Fmt.pf ppf "@[%-10s = %-8g dU_p/dx = %+.4f  elasticity = %+.4f@]" d.param

@@ -23,7 +23,7 @@ val analyze : ?solver:Mms.solver -> ?rel_step:float -> Params.t -> derivative li
     parameters (default 0.05).  Probabilities are clamped to their valid
     range before differencing. *)
 
-val ranked : ?solver:Mms.solver -> ?rel_step:float -> Params.t -> derivative list
+val ranked : ?solver:Mms.solver -> Params.t -> derivative list
 (** {!analyze} sorted by decreasing absolute elasticity: the first entry
     is the subsystem to tune first. *)
 

@@ -46,28 +46,27 @@ let of_measures ?ideal_method subsystem ~real ~ideal =
   let tol = if Float.equal u_p_ideal 0. then 1. else u_p /. u_p_ideal in
   { subsystem; ideal_method = meth; tol; u_p; u_p_ideal; zone = zone_of_index tol; real; ideal }
 
-let index ?solver ?ideal_method ?real subsystem p =
+let index ?solver ?ideal_method subsystem p =
   let meth =
     match ideal_method with Some m -> m | None -> default_method subsystem
   in
-  let real = match real with Some m -> m | None -> Mms.solve ?solver p in
+  let real = Mms.solve ?solver p in
   let ideal = Mms.solve ?solver (ideal_params subsystem meth p) in
   of_measures ~ideal_method:meth subsystem ~real ~ideal
 
-let network ?solver ?ideal_method ?real p =
-  index ?solver ?ideal_method ?real Network_latency p
+let network ?solver ?ideal_method p =
+  index ?solver ?ideal_method Network_latency p
 
-let memory ?solver ?real p = index ?solver ?real Memory_latency p
+let memory ?solver p = index ?solver Memory_latency p
 
-let threads_needed ?solver ?ideal_method ?(target = 0.8) ?(max_threads = 16)
-    subsystem p =
+let threads_needed ?(target = 0.8) ?(max_threads = 16) subsystem p =
   if target <= 0. then invalid_arg "Tolerance.threads_needed: target > 0";
   if max_threads < 1 then
     invalid_arg "Tolerance.threads_needed: max_threads >= 1";
   let rec search n_t =
     if n_t > max_threads then None
     else begin
-      let r = index ?solver ?ideal_method subsystem { p with Params.n_t } in
+      let r = index subsystem { p with Params.n_t } in
       if r.tol >= target then Some n_t else search (n_t + 1)
     end
   in

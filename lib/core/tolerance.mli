@@ -58,22 +58,18 @@ val of_measures :
     [Zero_delay] for memory. *)
 
 val network :
-  ?solver:Mms.solver -> ?ideal_method:ideal_method -> ?real:Measures.t ->
-  Params.t -> report
+  ?solver:Mms.solver -> ?ideal_method:ideal_method -> Params.t -> report
 (** Solve the real and ideal systems and form the network tolerance
     index; [ideal_method] defaults to [Zero_remote] (the paper's
-    preference).  [real], when given, supplies the real system's measures
-    so only the ideal system is solved — callers that already solved [p]
-    (a sweep point, say) avoid the redundant solve. *)
+    preference). *)
 
-val memory : ?solver:Mms.solver -> ?real:Measures.t -> Params.t -> report
-(** The memory tolerance index, against the [Zero_delay] ideal; [real] as
-    in {!network}. *)
+val memory : ?solver:Mms.solver -> Params.t -> report
+(** The memory tolerance index, against the [Zero_delay] ideal. *)
 
 val threads_needed :
-  ?solver:Mms.solver -> ?ideal_method:ideal_method -> ?target:float ->
-  ?max_threads:int -> subsystem -> Params.t -> int option
-(** Smallest [n_t <= max_threads] (default 16) whose tolerance index
+  ?target:float -> ?max_threads:int -> subsystem -> Params.t -> int option
+(** Smallest [n_t <= max_threads] (default 16) whose tolerance index,
+    solved by the default solver against the subsystem's default ideal,
     reaches [target] (default 0.8, the paper's "tolerated" boundary);
     [None] if no thread count up to the cap suffices.  The paper's
     observation that "the n_t to tolerate the network latency does not

@@ -120,14 +120,14 @@ let to_params ?n_t ~base loop =
       pattern = Access.Explicit matrix;
     }
 
-let compare_distributions ?n_t ~base ~elements ~stencil ~work_per_access
+let compare_distributions ~base ~elements ~stencil ~work_per_access
     distributions =
   let topo = Params.make_topology base in
   List.map
     (fun distribution ->
       let loop = { elements; distribution; stencil; work_per_access } in
       let ch = characterize loop topo in
-      let params = to_params ?n_t ~base loop in
+      let params = to_params ~base loop in
       let report = Tolerance.network params in
       (distribution, ch, report.Tolerance.real, report.Tolerance.tol))
     distributions
@@ -248,23 +248,22 @@ module Grid = struct
   let characterize g ~base =
     characterize_matrix (access_matrix g ~base) (Params.make_topology base)
 
-  let to_params ?n_t ~base g =
+  let to_params ~base g =
     let matrix = access_matrix g ~base in
     Params.validate_exn
       {
         base with
-        Params.n_t = Option.value n_t ~default:base.Params.n_t;
         runlength = g.work_per_access;
         pattern = Access.Explicit matrix;
       }
 
-  let compare_decompositions ?n_t ~base ~rows ~cols ~stencil ~work_per_access
+  let compare_decompositions ~base ~rows ~cols ~stencil ~work_per_access
       decompositions =
     List.map
       (fun decomposition ->
         let g = { rows; cols; decomposition; stencil; work_per_access } in
         let ch = characterize g ~base in
-        let params = to_params ?n_t ~base g in
+        let params = to_params ~base g in
         let report = Tolerance.network params in
         (decomposition, ch, report.Tolerance.real, report.Tolerance.tol))
       decompositions

@@ -61,7 +61,7 @@ val to_params : ?n_t:int -> base:Params.t -> loop -> Params.t
     that many concurrent iterations per processor. *)
 
 val compare_distributions :
-  ?n_t:int -> base:Params.t -> elements:int -> stencil:int list ->
+  base:Params.t -> elements:int -> stencil:int list ->
   work_per_access:float -> distribution list ->
   (distribution * characterization * Measures.t * float) list
 (** Evaluate the same loop under several distributions; each result carries
@@ -109,7 +109,7 @@ module Grid : sig
   val characterize : t -> base:Params.t -> characterization
 
   val compare_decompositions :
-    ?n_t:int -> base:Params.t -> rows:int -> cols:int ->
+    base:Params.t -> rows:int -> cols:int ->
     stencil:(int * int) list -> work_per_access:float -> decomposition list ->
     (decomposition * characterization * Measures.t * float) list
 end

@@ -74,11 +74,6 @@ let run_one ?retry ?deadline ?on_poison ~failure ~trace f i x =
   let max_attempts =
     match retry with Some p -> p.Retry.max_attempts | None -> 1
   in
-  let classify =
-    match retry with
-    | Some p -> p.Retry.classify
-    | None -> Retry.default_classify
-  in
   let rec go attempt =
     let dl = Option.map (fun timeout -> Retry.start ~timeout) deadline in
     let should_stop () =
@@ -88,7 +83,7 @@ let run_one ?retry ?deadline ?on_poison ~failure ~trace f i x =
     match f { attempt; should_stop; trace } x with
     | y -> y
     | exception e -> (
-      match classify e with
+      match Retry.default_classify e with
       | Retry.Fatal -> raise e
       | Retry.Transient ->
         if attempt < max_attempts && Atomic.get failure = None then begin
@@ -388,14 +383,8 @@ let map_ctx ?chunk ?oversubscribe ?monitor ?retry ?deadline ?on_poison ~jobs f
        (fun () ctx x -> f ctx x)
        items)
 
-let map ?chunk ?oversubscribe ?monitor ?retry ?deadline ?on_poison ~jobs f
-    items =
-  map_ctx ?chunk ?oversubscribe ?monitor ?retry ?deadline ?on_poison ~jobs
-    (fun _ctx x -> f x)
-    items
+let map ?chunk ?oversubscribe ?monitor ~jobs f items =
+  map_ctx ?chunk ?oversubscribe ?monitor ~jobs (fun _ctx x -> f x) items
 
-let map_list ?chunk ?oversubscribe ?monitor ?retry ?deadline ?on_poison ~jobs f
-    items =
-  Array.to_list
-    (map ?chunk ?oversubscribe ?monitor ?retry ?deadline ?on_poison ~jobs f
-       (Array.of_list items))
+let map_list ?chunk ?oversubscribe ~jobs f items =
+  Array.to_list (map ?chunk ?oversubscribe ~jobs f (Array.of_list items))

@@ -40,12 +40,13 @@
     a worker outside any task (from [local] or a [monitor] hook) is
     re-raised before it, the caller's own first.
 
-    With a [retry] policy, failures its [classify] deems
-    {!Lattol_robust.Retry.Transient} are re-attempted with exponential
-    backoff and deterministic jitter; a [deadline] (seconds, per attempt)
-    arms cooperative cancellation through {!ctx}; and [on_poison], when
-    present, substitutes a result for a task whose transient failures
-    outlast the policy instead of sinking the run. *)
+    With a [retry] policy, failures that
+    {!Lattol_robust.Retry.default_classify} deems transient are
+    re-attempted with exponential backoff and deterministic jitter; a
+    [deadline] (seconds, per attempt) arms cooperative cancellation
+    through {!ctx}; and [on_poison], when present, substitutes a result
+    for a task whose transient failures outlast the policy instead of
+    sinking the run. *)
 
 val available_cores : unit -> int
 (** [Domain.recommended_domain_count ()]: the pool size above which more
@@ -105,19 +106,16 @@ type poisoned = {
     sentinel) and the rest of the map proceeds. *)
 
 val map :
-  ?chunk:int -> ?oversubscribe:bool -> ?monitor:monitor ->
-  ?retry:Lattol_robust.Retry.policy -> ?deadline:float ->
-  ?on_poison:(poisoned -> 'b) -> jobs:int -> ('a -> 'b) -> 'a array ->
-  'b array
+  ?chunk:int -> ?oversubscribe:bool -> ?monitor:monitor -> jobs:int ->
+  ('a -> 'b) -> 'a array -> 'b array
 (** [chunk > 0] forces a fixed claim granularity; otherwise claims are
     guided (roughly [remaining / (2 * workers)] each, down to single
     items at the tail).  [oversubscribe] lifts the {!available_cores}
     cap — only useful for tasks that park rather than compute.
     [jobs < 1] is rejected; an effective pool of 1 retires the crew's
     idle members, then runs in the calling domain with no queue at all
-    (the [monitor] still sees a one-worker pool).  [deadline] is per
-    attempt; without [on_poison], exhausted transient failures propagate
-    like fatal ones. *)
+    (the [monitor] still sees a one-worker pool).  Every exception is
+    fatal; {!map_ctx} and {!map_local} add fault containment. *)
 
 val map_ctx :
   ?chunk:int -> ?oversubscribe:bool -> ?monitor:monitor ->
@@ -125,7 +123,9 @@ val map_ctx :
   ?on_poison:(poisoned -> 'b) -> jobs:int -> (ctx -> 'a -> 'b) -> 'a array ->
   'b array
 (** {!map} with the task's {!ctx} exposed, for tasks that poll
-    [should_stop] or vary behavior by [attempt]. *)
+    [should_stop] or vary behavior by [attempt], and with fault
+    containment.  [deadline] is per attempt; without [on_poison],
+    exhausted transient failures propagate like fatal ones. *)
 
 val map_local :
   ?chunk:int -> ?oversubscribe:bool -> ?monitor:monitor ->
@@ -161,8 +161,6 @@ val map_local :
     statistics, not for data flow between tasks. *)
 
 val map_list :
-  ?chunk:int -> ?oversubscribe:bool -> ?monitor:monitor ->
-  ?retry:Lattol_robust.Retry.policy -> ?deadline:float ->
-  ?on_poison:(poisoned -> 'b) -> jobs:int -> ('a -> 'b) -> 'a list ->
+  ?chunk:int -> ?oversubscribe:bool -> jobs:int -> ('a -> 'b) -> 'a list ->
   'b list
 (** List variant of {!map}. *)

@@ -69,18 +69,18 @@ let stpn_seeds ~seed n =
   let root = Prng.create ~seed () in
   List.init n (fun _ -> Int64.to_int (Prng.bits64 root) land max_int)
 
-let stpn_measures ?(jobs = 1) ?chunk ?oversubscribe ?monitor ?journal ?causal
-    ?(seed = 1) ?warmup ?horizon ?memory ?faults ~replications p =
+let stpn_measures ?(jobs = 1) ?chunk ?monitor ?journal ?causal ?(seed = 1)
+    ?warmup ?horizon ?faults ~replications p =
   if replications < 1 then
     invalid_arg "Replicate.stpn_measures: replications must be at least 1";
   summarize_measures
-    (journaled_measures ~journal ~monitor ~chunk ~oversubscribe ~causal ~jobs
-       (fun s ->
-         (Stpn.run ~seed:s ?warmup ?horizon ?memory ?faults p).Stpn.measures)
+    (journaled_measures ~journal ~monitor ~chunk ~oversubscribe:None ~causal
+       ~jobs
+       (fun s -> (Stpn.run ~seed:s ?warmup ?horizon ?faults p).Stpn.measures)
        (stpn_seeds ~seed replications))
 
-let des ?(jobs = 1) ?chunk ?oversubscribe ?monitor
-    ?(config = Des.default_config) ~replications p =
+let des ?(jobs = 1) ?chunk ?oversubscribe ?(config = Des.default_config)
+    ~replications p =
   if replications < 1 then
     invalid_arg "Replicate.des: replications must be at least 1";
   if replications > 1 && (config.Des.trace <> None || config.Des.metrics <> None)
@@ -89,7 +89,7 @@ let des ?(jobs = 1) ?chunk ?oversubscribe ?monitor
        collide on series names. *)
     invalid_arg "Replicate.des: trace/metrics sinks require replications = 1";
   let results =
-    Pool.map_list ?monitor ?chunk ?oversubscribe ~jobs
+    Pool.map_list ?chunk ?oversubscribe ~jobs
       (fun rng -> Des.run ~config:{ config with Des.rng = Some rng } p)
       (streams ~seed:config.Des.seed replications)
   in
@@ -97,15 +97,12 @@ let des ?(jobs = 1) ?chunk ?oversubscribe ?monitor
     ~u_p:(fun r -> r.Des.measures.Measures.u_p)
     ~lambda:(fun r -> r.Des.measures.Measures.lambda)
 
-let stpn ?(jobs = 1) ?chunk ?oversubscribe ?monitor ?(seed = 1) ?warmup
-    ?horizon ?memory ?faults ~replications p =
+let stpn ?(jobs = 1) ?(seed = 1) ?warmup ?horizon ~replications p =
   if replications < 1 then
     invalid_arg "Replicate.stpn: replications must be at least 1";
   let seeds = stpn_seeds ~seed replications in
   let results =
-    Pool.map_list ?monitor ?chunk ?oversubscribe ~jobs
-      (fun s -> Stpn.run ~seed:s ?warmup ?horizon ?memory ?faults p)
-      seeds
+    Pool.map_list ~jobs (fun s -> Stpn.run ~seed:s ?warmup ?horizon p) seeds
   in
   summarize results
     ~u_p:(fun r -> r.Stpn.measures.Measures.u_p)

@@ -21,7 +21,6 @@ val des :
   ?jobs:int ->
   ?chunk:int ->
   ?oversubscribe:bool ->
-  ?monitor:Pool.monitor ->
   ?config:Lattol_sim.Mms_des.config ->
   replications:int ->
   Params.t ->
@@ -29,23 +28,18 @@ val des :
 (** Discrete-event replications.  [config.rng] is overridden per
     replication with a split stream rooted at [config.seed]; [trace] and
     [metrics] sinks are rejected when [replications > 1] (they are per-run
-    recorders).  [monitor] observes the fan-out pool (one item per
-    replication).  Raises [Invalid_argument] on [replications < 1]. *)
+    recorders).  Raises [Invalid_argument] on [replications < 1]. *)
 
 val stpn :
   ?jobs:int ->
-  ?chunk:int ->
-  ?oversubscribe:bool ->
-  ?monitor:Pool.monitor ->
   ?seed:int ->
   ?warmup:float ->
   ?horizon:float ->
-  ?memory:Lattol_petri.Mms_stpn.memory_distribution ->
-  ?faults:Lattol_robust.Fault_plan.t ->
   replications:int ->
   Params.t ->
   Lattol_petri.Mms_stpn.result summary
-(** Stochastic-Petri-net replications, seeded from one root generator. *)
+(** Stochastic-Petri-net replications with exponential memory service and
+    no faults, seeded from one root generator. *)
 
 val des_measures :
   ?jobs:int ->
@@ -79,16 +73,15 @@ val des_measures :
 val stpn_measures :
   ?jobs:int ->
   ?chunk:int ->
-  ?oversubscribe:bool ->
   ?monitor:Pool.monitor ->
   ?journal:Journal.t ->
   ?causal:Lattol_obs.Trace_ctx.ctx ->
   ?seed:int ->
   ?warmup:float ->
   ?horizon:float ->
-  ?memory:Lattol_petri.Mms_stpn.memory_distribution ->
   ?faults:Lattol_robust.Fault_plan.t ->
   replications:int ->
   Params.t ->
   Lattol_core.Measures.t summary
-(** {!stpn} at measures level, journaled like {!des_measures}. *)
+(** {!stpn} at measures level, with [faults], journaled like
+    {!des_measures}. *)

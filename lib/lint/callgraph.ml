@@ -26,14 +26,22 @@ type fn = {
   events : (event * pos) list;
 }
 
+type pass = { callee : string; labels : string list option }
+
 type t = {
   unit_name : string;
   file : string;
   fns : fn list;
   uses : string list;
+  passes : pass list;
 }
 
-type export = { e_id : string; e_file : string; e_pos : pos }
+type export = {
+  e_id : string;
+  e_file : string;
+  e_pos : pos;
+  e_opts : (string * pos) list;
+}
 
 (* ------------------------------------------------------------------ *)
 (* Path resolution: syntactic value paths, normalized so that the same
@@ -211,7 +219,11 @@ type state = {
   file : string;
   mutable aliases : (string * string list) list;
   mutable opens : string list list;  (* modules opened in scope *)
+  mutable scopes : string list;
+      (* enclosing nested modules as path prefixes ("A.B."), innermost
+         first *)
   uses : string list ref;  (* names used without a call edge, reverse order *)
+  passes : pass list ref;  (* reverse order *)
   out : fn list ref;  (* completed nodes, reverse order *)
 }
 
@@ -253,6 +265,38 @@ let is_name s =
   s <> "" && (s.[0] = '_' || (s.[0] >= 'a' && s.[0] <= 'z')
               || (s.[0] >= 'A' && s.[0] <= 'Z'))
 
+(* The labels an application passes ([~l] or [?l]), or [None] when it
+   may pass any: with no positional argument it can be a partial
+   application whose result takes the rest. *)
+let passed_labels args =
+  if List.exists (fun (l, _) -> l = Asttypes.Nolabel) args then
+    Some
+      (List.filter_map
+         (fun (l, _) ->
+           match l with
+           | Asttypes.Labelled s | Asttypes.Optional s -> Some s
+           | Asttypes.Nolabel -> None)
+         args)
+  else None
+
+(* Record that [raw] is applied with [labels] ([None]: referenced as a
+   value, so any label).  Every reading of the name counts, so
+   dead-option stays quiet: each enclosing nested module's, and the
+   [M.]-qualified one under each [open M]. *)
+let note_pass st raw labels =
+  let add segs =
+    if segs <> [] then begin
+      let path = String.concat "." segs in
+      List.iter
+        (fun callee -> st.passes := { callee; labels } :: !(st.passes))
+        (path :: List.map (fun scope -> scope ^ path) st.scopes)
+    end
+  in
+  if labels <> Some [] && raw <> [] && is_name (List.hd raw) then begin
+    add (normalize st.aliases raw);
+    List.iter (fun o -> add (normalize st.aliases (o @ raw))) st.opens
+  end
+
 let rec walk st coll e =
   let loc = pos_of e.pexp_loc in
   let alloc what =
@@ -260,22 +304,9 @@ let rec walk st coll e =
       (Alloc { what; in_loop = coll.loop_depth > 0 }, loc) :: coll.events
   in
   match e.pexp_desc with
-  | Pexp_ident { txt; _ } -> (
-    let raw = flatten txt in
-    (* Under [open M] a name may also be [M.name].  That reading is a
-       use (dead-export stays quiet), never a call edge. *)
-    if raw <> [] && is_name (List.hd raw) then
-      List.iter
-        (fun o ->
-          st.uses :=
-            String.concat "." (normalize st.aliases (o @ raw)) :: !(st.uses))
-        st.opens;
-    match normalize st.aliases raw with
-    | [] -> ()
-    | segs ->
-      (* operators and module-path heads are never call edges to skip *)
-      if is_name (List.hd segs) then
-        coll.calls <- (String.concat "." segs, loc) :: coll.calls)
+  | Pexp_ident { txt; _ } ->
+    note_pass st (flatten txt) None;
+    walk_ident st coll txt loc
   | Pexp_apply (fn, args) -> walk_apply st coll e fn args
   | Pexp_fun _ | Pexp_function _ ->
     (* one closure per curried group: [fun a b -> e] is a single
@@ -380,6 +411,23 @@ let rec walk st coll e =
   | Pexp_assert e | Pexp_send (e, _) -> walk st coll e
   | _ -> ()
 
+and walk_ident st coll txt loc =
+  let raw = flatten txt in
+  (* Under [open M] a name may also be [M.name].  That reading is a
+     use (dead-export stays quiet), never a call edge. *)
+  if raw <> [] && is_name (List.hd raw) then
+    List.iter
+      (fun o ->
+        st.uses :=
+          String.concat "." (normalize st.aliases (o @ raw)) :: !(st.uses))
+      st.opens;
+  match normalize st.aliases raw with
+  | [] -> ()
+  | segs ->
+    (* operators and module-path heads are never call edges to skip *)
+    if is_name (List.hd segs) then
+      coll.calls <- (String.concat "." segs, loc) :: coll.calls
+
 and walk_pat _st _coll _p = ()
 
 and walk_case st coll c =
@@ -403,6 +451,12 @@ and walk_apply st coll e fn args =
   let loc = pos_of e.pexp_loc in
   let fpath = Option.map (String.split_on_char '.')
       (path_of st.aliases fn) in
+  let head = match fn.pexp_desc with
+    | Pexp_ident { txt; _ } -> Some txt
+    | _ -> None
+  in
+  Option.iter (fun txt -> note_pass st (flatten txt) (passed_labels args))
+    head;
   match fpath with
   | Some p when spawn_point p ->
     (* Parallel root: everything in the argument list runs (or is
@@ -469,7 +523,8 @@ and walk_apply st coll e fn args =
          (Partial { callee = String.concat "." p;
                     given = List.length pos_args }, loc)
          :: coll.events);
-    walk st coll fn;
+    Option.iter
+      (fun txt -> walk_ident st coll txt (pos_of fn.pexp_loc)) head;
     let hof = iterator_hof p in
     List.iter
       (fun (_, a) ->
@@ -544,8 +599,9 @@ let binding_name vb =
   in
   match of_pat vb.pvb_pat with Some "" | None -> None | s -> s
 
-let rec scan_structure st prefix items =
+let rec scan_structure st items =
   let saved = st.opens in
+  let prefix = match st.scopes with scope :: _ -> scope | [] -> "" in
   List.iter
     (fun item ->
       match item.pstr_desc with
@@ -579,7 +635,10 @@ let rec scan_structure st prefix items =
         in
         match mb.pmb_expr.pmod_desc with
         | Pmod_structure items ->
-          scan_structure st (prefix ^ mname ^ ".") items
+          let outer = st.scopes in
+          st.scopes <- (prefix ^ mname ^ ".") :: outer;
+          scan_structure st items;
+          st.scopes <- outer
         | _ -> ())
       | Pstr_eval (e, _) ->
         let coll = new_coll () in
@@ -616,11 +675,20 @@ let summarize ~file str =
   let unit_name = unit_name_of_file file in
   let st =
     { unit_name; file; aliases = module_aliases str; opens = [];
-      uses = ref []; out = ref [] }
+      scopes = []; uses = ref []; passes = ref []; out = ref [] }
   in
-  scan_structure st "" str;
+  scan_structure st str;
   { unit_name; file; fns = List.rev !(st.out);
-    uses = List.sort_uniq String.compare !(st.uses) }
+    uses = List.sort_uniq String.compare !(st.uses);
+    passes = List.sort_uniq compare !(st.passes) }
+
+(* The optional parameters of a [val]'s type, each at its [?l:]. *)
+let rec optional_labels t =
+  match t.ptyp_desc with
+  | Ptyp_arrow (Asttypes.Optional l, _, rest) ->
+    (l, pos_of t.ptyp_loc) :: optional_labels rest
+  | Ptyp_arrow (_, _, rest) | Ptyp_poly (_, rest) -> optional_labels rest
+  | _ -> []
 
 (* Every [val] (or [external]) of an interface, nested [module X : sig
    ... end] signatures included, named as the call graph names it. *)
@@ -631,7 +699,8 @@ let exports ~file sg =
         match item.psig_desc with
         | Psig_value vd ->
           { e_id = prefix ^ vd.pval_name.txt; e_file = file;
-            e_pos = pos_of vd.pval_loc }
+            e_pos = pos_of vd.pval_loc;
+            e_opts = optional_labels vd.pval_type }
           :: acc
         | Psig_module { pmd_name = { txt = Some m; _ };
                         pmd_type = { pmty_desc = Pmty_signature sg; _ }; _ } ->

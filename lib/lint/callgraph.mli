@@ -52,6 +52,14 @@ type fn = {
   events : (event * pos) list;
 }
 
+type pass = {
+  callee : string;  (** a reading of the applied path, as {!fn.calls} *)
+  labels : string list option;
+      (** the labels passed, by [~l] or [?l]; [None] when any may be:
+          the name is referenced as a value, or applied with labels but
+          no positional argument *)
+}
+
 type t = {
   unit_name : string;
   file : string;
@@ -61,9 +69,19 @@ type t = {
           points it calls, and the [M.]-qualified reading of every name
           under an [open M] ([open M], [M.( ... )], [let open M in]);
           [dead-export] counts them as uses *)
+  passes : pass list;
+      (** sorted; one per reading of each labelled application and value
+          reference: the path as written, its enclosing nested modules'
+          readings and its [M.]-qualified reading under each [open M];
+          [dead-option] counts them as passes *)
 }
 
-type export = { e_id : string; e_file : string; e_pos : pos }
+type export = {
+  e_id : string;
+  e_file : string;
+  e_pos : pos;
+  e_opts : (string * pos) list;  (** optional parameters, at their [?l:] *)
+}
 (** One [val] (or [external]) of an interface, ["Unit.path"] as
     {!fn.id} names it. *)
 
@@ -75,4 +93,5 @@ val summarize : file:string -> Parsetree.structure -> t
 
 val exports : file:string -> Parsetree.signature -> export list
 (** The interface's values in source order, those of nested
-    [module X : sig ... end] signatures included. *)
+    [module X : sig ... end] signatures included, each with the optional
+    parameters its type spells out. *)

@@ -7,7 +7,9 @@
     {!Callgraph} summaries and the {!Mutstate} inventory are merged and
     {!Reach.analyze} evaluates the cross-module rules
     ([dom-shared-mutation], [dom-unprotected-read-write],
-    [det-prng-unsplit], [hot-alloc]) over the parallel and hot regions.
+    [det-prng-unsplit], [hot-alloc]) over the parallel and hot regions,
+    and [dead-export] and [dead-option] over every parsed [lib/]
+    interface.
     [[@lattol.allow]] ranges suppress findings from either phase, and an
     optional {!baseline} accept-list demotes grandfathered findings
     while flagging stale entries. *)

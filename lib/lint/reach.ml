@@ -10,6 +10,9 @@ type program = {
   globals : Mutstate.global Smap.t;   (* id -> global *)
   exports : Callgraph.export list;
   used : Sset.t;  (* "Unit.path" named by some other unit *)
+  passed : Sset.t option Smap.t;
+      (* export id -> the labels some application passes it, [None]
+         when one may pass any *)
 }
 
 (* Every path a unit names, calls and {!Callgraph.t.uses} alike, that
@@ -28,6 +31,33 @@ let uses summaries =
           List.fold_left (fun acc (path, _) -> add acc path) acc f.calls)
         acc s.fns)
     Sset.empty summaries
+
+(* Every label each unit's applications pass to an export, keyed by both
+   ids a callee path may resolve to: a definition of the applying unit,
+   or another unit's. *)
+let passes exports summaries =
+  let ids =
+    Sset.of_list (List.map (fun (e : Callgraph.export) -> e.e_id) exports)
+  in
+  List.fold_left
+    (fun acc (s : Callgraph.t) ->
+      List.fold_left
+        (fun acc (p : Callgraph.pass) ->
+          let add acc id =
+            if not (Sset.mem id ids) then acc
+            else
+              let labels =
+                match (Smap.find_opt id acc, p.labels) with
+                | Some None, _ | _, None -> None
+                | Some (Some seen), Some ls ->
+                  Some (List.fold_right Sset.add ls seen)
+                | None, Some ls -> Some (Sset.of_list ls)
+              in
+              Smap.add id labels acc
+          in
+          add (add acc (s.unit_name ^ "." ^ p.callee)) p.callee)
+        acc s.passes)
+    Smap.empty summaries
 
 let build ?(exports = []) summaries globals =
   let fns =
@@ -58,7 +88,8 @@ let build ?(exports = []) summaries globals =
       (fun m (g : Mutstate.global) -> Smap.add g.Mutstate.id g m)
       Smap.empty globals
   in
-  { fns; globals; exports; used = uses summaries }
+  { fns; globals; exports; used = uses summaries;
+    passed = passes exports summaries }
 
 (* Resolve a reference [path] made from inside [unit_name]: a definition
    in the referencing unit shadows a unit of the same name. *)
@@ -171,6 +202,24 @@ let analyze p ~enabled ~(report : reporter) =
             ~message:
               (Printf.sprintf "%s is exported but no other unit uses it"
                  e.e_id))
+      p.exports;
+  if enabled "dead-option" then
+    List.iter
+      (fun (e : Callgraph.export) ->
+        let passed l =
+          match Smap.find_opt e.e_id p.passed with
+          | Some None -> true
+          | Some (Some ls) -> Sset.mem l ls
+          | None -> false
+        in
+        List.iter
+          (fun (l, pos) ->
+            if not (passed l) then
+              report ~rule:"dead-option" ~file:e.e_file ~pos
+                ~message:
+                  (Printf.sprintf "%s takes ?%s but no application passes it"
+                     e.e_id l))
+          e.e_opts)
       p.exports;
   let par = parallel_region p in
   let hot = hot_region p in

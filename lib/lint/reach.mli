@@ -17,7 +17,12 @@
       list, array, partial application) in the hot region;
     - [dead-export] — an interface value ([build]'s [exports]) that no
       other unit names, directly, through a module alias or under an
-      [open]. *)
+      [open];
+    - [dead-option] — an optional parameter of an interface value that
+      no application in any unit, its own included, passes by [~l] or
+      [?l].  A value referenced other than as an application's head, or
+      applied with labels but no positional argument, passes every
+      label. *)
 
 type program
 

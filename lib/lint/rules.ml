@@ -151,9 +151,8 @@ let metas =
         "bare stderr print in library code (lib/obs/log.ml excepted)";
       hint =
         "emit through Lattol_obs.Log: freeform eprintf lines carry no \
-         level, no source and no trace id, so they cannot be joined \
-         against the causal trace; only the structured logger itself \
-         writes stderr directly";
+         level and no source, so no script can filter them; only the \
+         structured logger itself writes stderr directly";
     };
     {
       id = "dead-export";
@@ -164,6 +163,18 @@ let metas =
       hint =
         "delete the val from the .mli, and its definition too if its own \
          unit does not use it; code nothing runs is code nobody checks";
+    };
+    {
+      id = "dead-option";
+      family = "hygiene";
+      summary =
+        "optional parameter of a library interface value that no \
+         application passes (its own unit, tests, benchmarks, examples and \
+         tools included)";
+      hint =
+        "delete the parameter and its default plumbing, then rerun: a \
+         forward of it may die next; a setting no run takes is a setting \
+         nobody checks";
     };
   ]
 

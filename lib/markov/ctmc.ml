@@ -34,7 +34,8 @@ let exit_rate t s =
   check_state t s "state";
   Hashtbl.fold (fun _ r acc -> acc +. r) t.outgoing.(s) 0.
 
-let steady_state ?(tolerance = 1e-12) ?(max_iterations = 100_000) t =
+let steady_state t =
+  let tolerance = 1e-12 and max_iterations = 100_000 in
   (* Incoming adjacency: for pi Q = 0 we need, per state i, the flows
      pi_j * q_{j,i}. *)
   let incoming = Array.make t.n [] in

@@ -18,11 +18,12 @@ val rate : t -> src:int -> dst:int -> float
 val exit_rate : t -> int -> float
 (** Total outgoing rate of a state. *)
 
-val steady_state : ?tolerance:float -> ?max_iterations:int -> t -> float array
+val steady_state : t -> float array
 (** Stationary distribution [pi] with [pi Q = 0], [sum pi = 1], computed by
-    Gauss-Seidel sweeps with normalization.  Requires the chain to be
-    irreducible over the states reachable from state 0; raises [Failure] if
-    the iteration does not converge. *)
+    Gauss-Seidel sweeps with normalization, to a 1e-12 sweep delta.
+    Requires the chain to be irreducible over the states reachable from
+    state 0; raises [Failure] if the iteration does not converge within
+    100,000 sweeps. *)
 
 val expected : t -> pi:float array -> f:(int -> float) -> float
 (** [expected t ~pi ~f] is [sum_i pi.(i) * f i]. *)

@@ -37,15 +37,11 @@ let lock = Mutex.create ()
 let channel = ref stderr
 let set_channel oc = Mutex.protect lock (fun () -> channel := oc)
 
-let emit ?trace ?(fields = []) l ~src msg =
+let emit ?(fields = []) l ~src msg =
   let b = Buffer.create 160 in
   Buffer.add_string b
     (Printf.sprintf "{\"ts\":%.6f,\"level\":\"%s\",\"src\":\"%s\""
        (Unix.gettimeofday ()) (name l) (Jsonu.escape src));
-  (match trace with
-  | Some t when t <> "" ->
-    Buffer.add_string b (Printf.sprintf ",\"trace\":\"%s\"" (Jsonu.escape t))
-  | _ -> ());
   Buffer.add_string b (Printf.sprintf ",\"msg\":\"%s\"" (Jsonu.escape msg));
   List.iter
     (fun (k, v) ->
@@ -57,12 +53,10 @@ let emit ?trace ?(fields = []) l ~src msg =
       output_string !channel (Buffer.contents b);
       flush !channel)
 
-let logf ?trace ?fields l ~src fmt =
-  Printf.ksprintf
-    (fun msg -> if enabled l then emit ?trace ?fields l ~src msg)
-    fmt
+let logf ?fields l ~src fmt =
+  Printf.ksprintf (fun msg -> if enabled l then emit ?fields l ~src msg) fmt
 
-let debugf ?trace ?fields ~src fmt = logf ?trace ?fields Debug ~src fmt
-let infof ?trace ?fields ~src fmt = logf ?trace ?fields Info ~src fmt
-let warnf ?trace ?fields ~src fmt = logf ?trace ?fields Warn ~src fmt
-let errorf ?trace ?fields ~src fmt = logf ?trace ?fields Error ~src fmt
+let debugf ?fields ~src fmt = logf ?fields Debug ~src fmt
+let infof ?fields ~src fmt = logf ?fields Info ~src fmt
+let warnf ~src fmt = logf Warn ~src fmt
+let errorf ~src fmt = logf Error ~src fmt

@@ -1,6 +1,5 @@
-(** Leveled structured logging: one JSON object per line, optionally
-    carrying a trace id, so the [-v] diagnostics stream is machine-readable
-    (and joinable against a causal trace) instead of being freeform
+(** Leveled structured logging: one JSON object per line, so the [-v]
+    diagnostics stream is machine-readable instead of being freeform
     [Printf] noise.
 
     Lines look like
@@ -28,17 +27,13 @@ val set_channel : out_channel -> unit
     file. *)
 
 val debugf :
-  ?trace:string -> ?fields:(string * string) list -> src:string ->
+  ?fields:(string * string) list -> src:string ->
   ('a, unit, string, unit) format4 -> 'a
 
 val infof :
-  ?trace:string -> ?fields:(string * string) list -> src:string ->
+  ?fields:(string * string) list -> src:string ->
   ('a, unit, string, unit) format4 -> 'a
 
-val warnf :
-  ?trace:string -> ?fields:(string * string) list -> src:string ->
-  ('a, unit, string, unit) format4 -> 'a
+val warnf : src:string -> ('a, unit, string, unit) format4 -> 'a
 
-val errorf :
-  ?trace:string -> ?fields:(string * string) list -> src:string ->
-  ('a, unit, string, unit) format4 -> 'a
+val errorf : src:string -> ('a, unit, string, unit) format4 -> 'a

@@ -53,11 +53,11 @@ let set_gauge g v = g := v
 
 let gauge_value g = !g
 
-let histogram t ?(labels = []) ?(help = "") ?(lo = 0.) ~hi ~bins name =
+let histogram t ?(help = "") ?(lo = 0.) ~hi ~bins name =
   let h =
     { h = Histogram.create ~lo ~hi ~bins (); ex = Array.make (bins + 2) None }
   in
-  register t ~name ~labels ~help (Hist h);
+  register t ~name ~labels:[] ~help (Hist h);
   h
 
 (* Mirrors Histogram.add's binning so the exemplar lands in the same

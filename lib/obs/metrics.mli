@@ -44,8 +44,8 @@ type exemplar = { e_trace : string; e_value : float }
     back to one concrete traced request. *)
 
 val histogram :
-  t -> ?labels:labels -> ?help:string -> ?lo:float -> hi:float -> bins:int ->
-  string -> histogram
+  t -> ?help:string -> ?lo:float -> hi:float -> bins:int -> string ->
+  histogram
 
 val record : ?exemplar:string -> histogram -> float -> unit
 (** Record an observation; with [?exemplar] (a non-empty trace id, e.g.

@@ -267,10 +267,10 @@ type profile = {
 
 let poll_interval_s = 0.001
 
-let start ?dir ?(max_trace_spans = 200_000) () =
-  (match dir with
-  | Some d -> Unix.putenv "OCAML_RUNTIME_EVENTS_DIR" d
-  | None -> ());
+(* Timeline spans kept per session; the excess is counted, not stored. *)
+let max_trace_spans = 200_000
+
+let start () =
   RE.start ();
   let live =
     {

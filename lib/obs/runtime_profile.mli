@@ -34,12 +34,12 @@ val queue_depth : int -> unit
 
 type session
 
-val start : ?dir:string -> ?max_trace_spans:int -> unit -> session
+val start : unit -> session
 (** Start ring collection (if not already started), open a cursor on
-    this process and spawn the sampler domain.  [dir] relocates the
-    [<pid>.events] ring file (default: the working directory);
-    [max_trace_spans] bounds the timeline buffer (default 200_000,
-    excess spans are counted, not stored). *)
+    this process and spawn the sampler domain.  The [<pid>.events] ring
+    file goes to the working directory (or [OCAML_RUNTIME_EVENTS_DIR]);
+    the timeline buffer holds 200_000 spans, and excess spans are
+    counted, not stored. *)
 
 type trace_span = {
   ring : int;

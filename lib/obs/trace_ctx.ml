@@ -216,7 +216,7 @@ let[@lattol.allow "hot-alloc"] record_interval ?(cat = "") ?(meta = [])
         meta;
       }
 
-let record_since ?cat ?meta ~name ctx =
+let record_since ?cat ~name ctx =
   match ctx with
   | Off -> ()
-  | On c -> record_interval ?cat ?meta ~name ~t0_ns:c.opened ctx
+  | On c -> record_interval ?cat ~name ~t0_ns:c.opened ctx

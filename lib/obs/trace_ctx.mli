@@ -98,8 +98,7 @@ val record_interval :
   t0_ns:int64 -> ctx -> unit
 (** Record a leaf span from [t0_ns] to now under [ctx]'s parent. *)
 
-val record_since :
-  ?cat:string -> ?meta:(string * string) list -> name:string -> ctx -> unit
+val record_since : ?cat:string -> name:string -> ctx -> unit
 (** Record a leaf span from [opened_ns ctx] to now — e.g. the queue wait
     between a point's submission and its first execution. *)
 

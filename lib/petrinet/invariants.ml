@@ -108,13 +108,13 @@ let farkas ~max_rows matrix =
 
 let p_semiflows ?(max_rows = 20_000) net = farkas ~max_rows (incidence net)
 
-let t_semiflows ?(max_rows = 20_000) net =
+let t_semiflows net =
   let c = incidence net in
   let np = Petri.num_places net and nt = Petri.num_transitions net in
   let transposed =
     Array.init nt (fun tr -> Array.init np (fun p -> c.(p).(tr)))
   in
-  farkas ~max_rows transposed
+  farkas ~max_rows:20_000 transposed
 
 let reproduces_marking net ~firings =
   if Array.length firings <> Petri.num_transitions net then

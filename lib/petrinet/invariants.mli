@@ -24,7 +24,7 @@ val covers : int array list -> place:Petri.place -> bool
 (** Does some semiflow give the place a positive weight?  A net whose
     every place is covered is structurally bounded. *)
 
-val t_semiflows : ?max_rows:int -> Petri.t -> int array list
+val t_semiflows : Petri.t -> int array list
 (** Transition invariants: non-negative firing-count vectors that return
     the net to its starting marking — the steady-state cycles.  In the MMS
     net every memory access (local, or remote to a given destination)

@@ -311,9 +311,9 @@ let run ?(seed = 1) ?(warmup = 1_000.) ?(horizon = 100_000.) ?memory ?faults p
   in
   { measures; stats; layout }
 
-let exact ?(max_states = 200_000) p =
+let exact p =
   let layout = build p in
-  let graph = Reachability.explore ~max_states layout.net in
+  let graph = Reachability.explore ~max_states:200_000 layout.net in
   let pi = Reachability.steady_state graph in
   let place_mean =
     Array.init (Petri.num_places layout.net) (fun pl ->

@@ -62,7 +62,7 @@ val run :
     rather than individual outages (the DES injects those exactly).  The
     returned [layout.params] carries the degraded service times. *)
 
-val exact : ?max_states:int -> Params.t -> Measures.t
+val exact : Params.t -> Measures.t
 (** Exact stationary solution via the tangible reachability graph; only
     feasible for very small [k]/[n_t].  Raises {!Reachability.Unbounded}
-    when the cap (default 200_000) is exceeded. *)
+    beyond 200_000 tangible states. *)

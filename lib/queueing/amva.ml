@@ -16,7 +16,7 @@ let default_options =
 
 let solve ?(options = default_options) network =
   if options.tolerance <= 0. then invalid_arg "Amva.solve: tolerance > 0";
-  if options.damping < 0. || options.damping >= 1. then
+  if not (options.damping >= 0. && options.damping < 1.) then
     invalid_arg "Amva.solve: damping in [0, 1)";
   let num_cls = Network.num_classes network in
   let num_st = Network.num_stations network in

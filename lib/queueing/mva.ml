@@ -6,10 +6,12 @@ let[@lattol.allow "hot-alloc"] num_states network =
     1
     (Network.populations network)
 
+let max_states = 2_000_000
+
 (* The exact-MVA recursion is the hottest solver loop in the repo
    (ROADMAP item 3): the lint's hot-alloc rule audits it — and everything
    it calls — for per-iteration allocation. *)
-let[@lattol.hot] solve ?(max_states = 2_000_000) network =
+let[@lattol.hot] solve network =
   let num_cls = Network.num_classes network in
   let num_st = Network.num_stations network in
   let pops = Network.populations network in

@@ -15,10 +15,9 @@
     not exact here — use {!Convolution} (single class) or
     {!Lattol_markov.Qn_ctmc} for exact multiserver answers. *)
 
-val solve : ?max_states:int -> Network.t -> Solution.t
+val solve : Network.t -> Solution.t
 (** [solve network] is the exact solution.  Raises [Invalid_argument] if the
-    population-vector lattice exceeds [max_states] (default [2_000_000])
-    points. *)
+    population-vector lattice exceeds 2_000_000 points. *)
 
 val num_states : Network.t -> int
 (** Size of the population lattice the recursion would traverse. *)

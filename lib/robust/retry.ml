@@ -15,7 +15,6 @@ type policy = {
   base_delay : float;
   max_delay : float;
   jitter : float;
-  classify : exn -> classification;
 }
 
 (* Transient: the environment misbehaved (injected chaos, an expired
@@ -28,7 +27,7 @@ let default_classify = function
   | _ -> Fatal
 
 let policy ?(max_attempts = 3) ?(base_delay = 0.05) ?(max_delay = 1.)
-    ?(jitter = 0.5) ?(classify = default_classify) () =
+    ?(jitter = 0.5) () =
   if max_attempts < 1 then
     invalid_arg "Retry.policy: max_attempts must be at least 1";
   if base_delay < 0. then
@@ -36,7 +35,7 @@ let policy ?(max_attempts = 3) ?(base_delay = 0.05) ?(max_delay = 1.)
   if max_delay < base_delay then
     invalid_arg "Retry.policy: max_delay must be at least base_delay";
   if jitter < 0. then invalid_arg "Retry.policy: jitter must be non-negative";
-  { max_attempts; base_delay; max_delay; jitter; classify }
+  { max_attempts; base_delay; max_delay; jitter }
 
 (* Deterministic jitter: a hash of (salt, attempt) desynchronizes workers
    retrying the same backoff rung without drawing from an ambient PRNG

@@ -6,10 +6,10 @@
     time budgets.  Clocks decide only {e when} work runs — never what it
     computes.
 
-    A {!policy} separates {e transient} failures (injected chaos, expired
-    deadlines, flaky I/O — worth retrying) from {e fatal} ones
+    {!default_classify} separates {e transient} failures (injected chaos,
+    expired deadlines, flaky I/O — worth retrying) from {e fatal} ones
     (deterministic solver errors — retrying only repeats them); {!Pool}
-    consumes it for task-level fault containment. *)
+    consumes it and a {!policy} for task-level fault containment. *)
 
 type classification = Transient | Fatal
 
@@ -24,18 +24,18 @@ type policy = {
   jitter : float;
       (** extra fraction of the rung added deterministically per
           (salt, attempt) — desynchronizes concurrent retriers *)
-  classify : exn -> classification;
 }
 
 val default_classify : exn -> classification
-(** {!Chaos.Injected_fault}, {!Deadline_exceeded}, [Sys_error] and
-    [Unix_error] are transient; everything else fatal. *)
+(** The classification every retry uses: {!Chaos.Injected_fault},
+    {!Deadline_exceeded}, [Sys_error] and [Unix_error] are transient;
+    everything else fatal. *)
 
 val policy :
   ?max_attempts:int -> ?base_delay:float -> ?max_delay:float ->
-  ?jitter:float -> ?classify:(exn -> classification) -> unit -> policy
+  ?jitter:float -> unit -> policy
 (** Validating constructor; defaults: 3 attempts, 50 ms doubling to a 1 s
-    cap, jitter 0.5, {!default_classify}. *)
+    cap, jitter 0.5. *)
 
 val delay : policy -> attempt:int -> salt:int -> float
 (** Backoff (seconds) after failed [attempt] (1-based):

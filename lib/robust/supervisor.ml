@@ -56,7 +56,10 @@ let reason_string = function
 (* ------------------------------------------------------------------ *)
 (* Bound cross-check *)
 
-let cross_check ~slack p solution measures =
+(* The relative headroom a bound may be exceeded by before it counts. *)
+let slack = 0.02
+
+let cross_check p solution measures =
   let nw = solution.Solution.network in
   let num_cls = Network.num_classes nw in
   let num_st = Network.num_stations nw in
@@ -123,9 +126,13 @@ let solution_finite solution =
        (fun row -> Array.for_all Float.is_finite row)
        solution.Solution.queue
 
-let solve ?solvers ?(dampings = default_dampings) ?(tolerance = 1e-8)
-    ?(base_iterations = 2_000) ?time_budget ?(stall_window = 1_000)
-    ?(slack = 0.02) ?telemetry p =
+(* The fixed-point tolerance of every rung, and the sweeps without a new
+   best residual after which a rung counts as stalled. *)
+let tolerance = 1e-8
+let stall_window = 1_000
+
+let solve ?solvers ?(dampings = default_dampings) ?(base_iterations = 2_000)
+    ?time_budget ?telemetry p =
   let tel f = Option.iter f telemetry in
   let p = Params.validate_exn p in
   if dampings = [] then invalid_arg "Supervisor.solve: dampings is empty";
@@ -136,7 +143,6 @@ let solve ?solvers ?(dampings = default_dampings) ?(tolerance = 1e-8)
     dampings;
   if base_iterations < 1 then
     invalid_arg "Supervisor.solve: base_iterations >= 1";
-  if stall_window < 1 then invalid_arg "Supervisor.solve: stall_window >= 1";
   (match time_budget with
   | Some b when b <= 0. -> invalid_arg "Supervisor.solve: time_budget > 0"
   | Some _ | None -> ());
@@ -275,7 +281,7 @@ let solve ?solvers ?(dampings = default_dampings) ?(tolerance = 1e-8)
                 ~src:log_src "rung %d accepted: %s converged" (index + 1)
                 (Mms.solver_label solver);
               let measures = Mms.measures_of_solution p solution in
-              let violations = cross_check ~slack p solution measures in
+              let violations = cross_check p solution measures in
               List.iter
                 (fun v ->
                   Slog.warnf ~src:log_src "bound violation: %s (%g > %g)"

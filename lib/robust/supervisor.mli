@@ -59,11 +59,8 @@ type outcome = Converged | Converged_after_fallback | Failed
 val solve :
   ?solvers:Mms.solver list ->
   ?dampings:float list ->
-  ?tolerance:float ->
   ?base_iterations:int ->
   ?time_budget:float ->
-  ?stall_window:int ->
-  ?slack:float ->
   ?telemetry:Lattol_obs.Solver_trace.t ->
   Params.t ->
   (Measures.t * diagnosis, diagnosis) result
@@ -73,20 +70,20 @@ val solve :
       when the symmetric solver applies, the last two otherwise) is the
       fallback chain; each solver is tried with every damping factor.
     - [dampings] (default [[0.; 0.5; 0.9]]) escalates under-relaxation.
-    - [tolerance] (default 1e-8) is the fixed-point tolerance.
     - [base_iterations] (default 2_000) is the first rung's iteration
       budget; every later rung doubles it.
     - [time_budget] (optional, CPU seconds) bounds the whole ladder;
       attempts in flight are aborted and remaining rungs skipped once it
       is exhausted.
-    - [stall_window] (default 1_000): abort an attempt whose best residual
-      has not improved for this many sweeps.
-    - [slack] (default 0.02) is the relative headroom allowed before a
-      bound cross-check counts as a violation.
     - [telemetry] (optional) records every rung as a
       {!Lattol_obs.Solver_trace} attempt, with the per-sweep residual
       trajectory sampled through the same [on_sweep] hook the ladder
       watches.
+
+    Every rung solves to a 1e-8 fixed-point tolerance, and is aborted
+    as stalled once its best residual has not improved for 1_000 sweeps.
+    A bound cross-check allows 2% of relative headroom before it counts
+    as a violation.
 
     [Ok (measures, diagnosis)] carries the first accepted solution;
     [Error diagnosis] means every rung failed (the measures of the last

@@ -7,7 +7,6 @@ type t = {
   address : string;
   port : int option;
   unlink : string option;
-  prefix : string;
   snapshot : unit -> Metrics.snapshot;
   health : unit -> string option;
   runtime : (unit -> string) option;
@@ -75,7 +74,7 @@ let route t path =
   match path with
   | "/metrics" ->
     response ~status:"200 OK" ~content_type:Prom.content_type
-      (Prom.render ~prefix:t.prefix (t.snapshot ()))
+      (Prom.render (t.snapshot ()))
   | "/metrics.json" ->
     response ~status:"200 OK" ~content_type:"application/json"
       (Metrics.json_of_snapshot (t.snapshot ()))
@@ -202,8 +201,7 @@ let bind_endpoint = function
         (Printf.sprintf "cannot bind socket %s: %s" path
            (Unix.error_message e)))
 
-let start ?(prefix = "lattol_") ?(health = fun () -> None) ?runtime ?trace
-    ~snapshot endpoint =
+let start ?(health = fun () -> None) ?runtime ?trace ~snapshot endpoint =
   match bind_endpoint endpoint with
   | Error _ as e -> e
   | Ok (fd, address, port, unlink) ->
@@ -216,7 +214,6 @@ let start ?(prefix = "lattol_") ?(health = fun () -> None) ?runtime ?trace
         address;
         port;
         unlink;
-        prefix;
         snapshot;
         health;
         runtime;

@@ -34,7 +34,6 @@ type endpoint =
 type t
 
 val start :
-  ?prefix:string ->
   ?health:(unit -> string option) ->
   ?runtime:(unit -> string) ->
   ?trace:(unit -> string) ->
@@ -47,8 +46,7 @@ val start :
     every [/healthz] probe, also on the serving domain: [None] keeps the
     probe ["ok"], [Some reason] turns it 503 degraded (a raising callback
     reads as degraded too, never as a wedged endpoint).  Default: always
-    healthy.  [prefix] overrides the Prometheus name prefix (default
-    [lattol_]).  [Error] carries the bind failure ([EADDRINUSE], a bad
+    healthy.  [Error] carries the bind failure ([EADDRINUSE], a bad
     path...); nothing is spawned then.  Starting an exporter ignores
     [SIGPIPE] process-wide — a scraper hanging up mid-response must not
     kill the run. *)

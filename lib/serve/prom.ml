@@ -111,11 +111,11 @@ let render_histogram b fname labels h ex =
   Printf.bprintf b "%s_sum%s %s\n" fname (label_block labels)
     (number (Histogram.sum h))
 
-let render ?(prefix = "lattol_") snap =
+let render snap =
   let b = Buffer.create 4096 in
   List.iter
     (fun (name, members) ->
-      let fname = prefix ^ sanitize name in
+      let fname = "lattol_" ^ sanitize name in
       let first = List.hd members in
       let help =
         match

@@ -13,9 +13,7 @@ type config = {
   warmup : float;
   horizon : float;
   batches : int;
-  proc_model : service_model;
   mem_model : service_model;
-  switch_model : service_model;
   local_memory_priority : bool;
   faults : Fault_plan.t;
   trace : Ev.t option;
@@ -30,9 +28,7 @@ let default_config =
     warmup = 1_000.;
     horizon = 100_000.;
     batches = 20;
-    proc_model = Exponential;
     mem_model = Exponential;
-    switch_model = Exponential;
     local_memory_priority = false;
     faults = Fault_plan.none;
     trace = None;
@@ -118,9 +114,7 @@ let build (config : config) p =
           ~name:(Printf.sprintf "%s%d" prefix node)
           ~service)
   in
-  let procs =
-    mk "proc" (variate config.proc_model (Params.processor_occupancy p))
-  in
+  let procs = mk "proc" (Variate.Exponential (Params.processor_occupancy p)) in
   let mems =
     Array.init n (fun node ->
         Station.create ~servers:p.Params.mem_ports
@@ -131,11 +125,11 @@ let build (config : config) p =
   in
   let sw_in =
     mk ~servers:p.Params.switch_pipeline "in"
-      (variate config.switch_model p.Params.s_switch)
+      (Variate.Exponential p.Params.s_switch)
   in
   let sw_out =
     mk ~servers:p.Params.switch_pipeline "out"
-      (variate config.switch_model p.Params.s_switch)
+      (Variate.Exponential p.Params.s_switch)
   in
   let fault_targets =
     let entry label pr stations =
@@ -167,7 +161,7 @@ let build (config : config) p =
     sw_out;
     sync_units =
       (if p.Params.sync_unit > 0. then
-         Some (mk "su" (variate config.switch_model p.Params.sync_unit))
+         Some (mk "su" (Variate.Exponential p.Params.sync_unit))
        else None);
     trip_times = Moments.create ();
     rng;

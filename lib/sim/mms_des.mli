@@ -5,7 +5,7 @@
     abstracts (Section 8's cross-check role): every thread, memory access
     and switch hop is simulated explicitly on the same topology, routing
     and access pattern as the model.  Stations are FCFS single servers with
-    exponential service by default; the paper's sensitivity experiment
+    exponential service; the paper's sensitivity experiment
     (deterministic memory service) is available through {!service_model}.
 
     Agreement between this simulator, the STPN simulator and the AMVA model
@@ -28,9 +28,9 @@ type config = {
   warmup : float;        (** simulated time discarded before measuring *)
   horizon : float;       (** measured simulated time *)
   batches : int;         (** batches for confidence intervals *)
-  proc_model : service_model;
   mem_model : service_model;
-  switch_model : service_model;
+      (** memory service; processor, switch and sync-unit service is
+          always exponential *)
   local_memory_priority : bool;
       (** serve accesses from the local processor before remote ones at
           each memory module (non-preemptive) — the EM-4 design choice the

@@ -90,13 +90,13 @@ let rec visit st c cust m =
           (now -. !started);
         finish ())
 
-let run ?(seed = 1) ?(warmup = 1_000.) ?(horizon = 100_000.) ?trace network =
+let run ?(warmup = 1_000.) ?(horizon = 100_000.) ?trace network =
   if warmup < 0. || horizon <= 0. then
     invalid_arg "Network_sim.run: warmup >= 0 and horizon > 0";
   let num_cls = Network.num_classes network in
   let num_st = Network.num_stations network in
   let engine = Engine.create () in
-  let rng = Prng.create ~seed () in
+  let rng = Prng.create ~seed:1 () in
   let stations =
     Array.init num_st (fun m ->
         match Network.station_kind network m with

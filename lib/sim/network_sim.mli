@@ -25,9 +25,10 @@ type result = {
 }
 
 val run :
-  ?seed:int -> ?warmup:float -> ?horizon:float ->
-  ?trace:Lattol_obs.Events.t -> Network.t -> result
-(** Simulate the network (defaults: warm-up 1_000, horizon 100_000).
+  ?warmup:float -> ?horizon:float -> ?trace:Lattol_obs.Events.t ->
+  Network.t -> result
+(** Simulate the network with seed 1 (defaults: warm-up 1_000, horizon
+    100_000).
     Queue-length estimates are time-averaged after warm-up; residence
     times come from Little's law on the measured rates.  With [trace],
     every measured visit is emitted as spans on the customer's lane

@@ -60,9 +60,9 @@ let build_scripts ~num_nodes ~n_t per_node_accesses =
   in
   make ~steps
 
-let of_loop ?n_t ~base loop =
+let of_loop ~base loop =
   let base = Params.validate_exn base in
-  let n_t = Option.value n_t ~default:base.Params.n_t in
+  let n_t = base.Params.n_t in
   if n_t < 1 then invalid_arg "Trace.of_loop: n_t >= 1";
   let p = Params.num_processors base in
   (match Workload.validate ~num_processors:p loop with
@@ -85,9 +85,9 @@ let of_loop ?n_t ~base loop =
   done;
   build_scripts ~num_nodes:p ~n_t per_node
 
-let of_grid ?n_t ~base grid =
+let of_grid ~base grid =
   let base = Params.validate_exn base in
-  let n_t = Option.value n_t ~default:base.Params.n_t in
+  let n_t = base.Params.n_t in
   if n_t < 1 then invalid_arg "Trace.of_grid: n_t >= 1";
   (match Workload.Grid.validate ~base grid with
   | Ok _ -> ()

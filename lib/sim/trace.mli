@@ -33,14 +33,14 @@ val script : t -> node:int -> thread:int -> step array
 
 val total_steps : t -> int
 
-val of_loop : ?n_t:int -> base:Params.t -> Workload.loop -> t
+val of_loop : base:Params.t -> Workload.loop -> t
 (** Owner-computes schedule for the 1-D do-all loop: iteration [e] runs on
     [owner e], its stencil accesses become steps of
     [work_per_access] compute each; a node's iterations are dealt
-    round-robin over its [n_t] (default: [base]'s) threads.  Nodes that own
-    no iterations get one idle self-access step. *)
+    round-robin over [base]'s [n_t] threads.  Nodes that own no
+    iterations get one idle self-access step. *)
 
-val of_grid : ?n_t:int -> base:Params.t -> Workload.Grid.t -> t
+val of_grid : base:Params.t -> Workload.Grid.t -> t
 (** Same for the 2-D grid workload. *)
 
 val access_fractions : t -> node:int -> float array

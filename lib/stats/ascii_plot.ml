@@ -10,7 +10,7 @@ let finite_points s =
     (fun (x, y) -> Float.is_finite x && Float.is_finite y)
     s.points
 
-let render ?(width = 64) ?(height = 16) ?x_min ?x_max ?y_min ?y_max
+let render ?(width = 64) ?(height = 16) ?y_min ?y_max
     ?(x_label = "") ?(y_label = "") series =
   let all = List.concat_map finite_points series in
   if all = [] then "(no finite data points)"
@@ -18,8 +18,7 @@ let render ?(width = 64) ?(height = 16) ?x_min ?x_max ?y_min ?y_max
     let xs = List.map fst all and ys = List.map snd all in
     let min_l = List.fold_left Float.min infinity in
     let max_l = List.fold_left Float.max neg_infinity in
-    let x0 = Option.value x_min ~default:(min_l xs) in
-    let x1 = Option.value x_max ~default:(max_l xs) in
+    let x0 = min_l xs and x1 = max_l xs in
     let y0 = Option.value y_min ~default:(min_l ys) in
     let y1 = Option.value y_max ~default:(max_l ys) in
     (* Pad a degenerate axis so single values still render mid-scale. *)

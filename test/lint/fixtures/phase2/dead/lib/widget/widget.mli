@@ -18,4 +18,14 @@ module Nested : sig
   val from_bench : int -> int
 
   val unused : int -> int
+
+  val knob : ?unused:int -> int -> int
 end
+
+val knobs :
+  ?from_test:int -> ?forwarded:int -> ?from_bench:int -> ?unused:int ->
+  int -> int
+
+val wrap : ?forwarded:int -> int -> int
+
+val as_value : ?handed:int -> int -> int

@@ -151,6 +151,40 @@ let test_dead_export_on_last_reference () =
     [ "Widget.f is exported but no other unit uses it" ]
     (dead_exports ~users:[ ("test/test_w.ml", "let () = ignore 1\n") ])
 
+(* dead-option: an optional parameter stays alive exactly as long as some
+   application passes its label. *)
+let dead_options ~users =
+  let exports =
+    Callgraph.exports ~file:"lib/w/widget.mli"
+      (Parse.interface
+         (Lexing.from_string "val f : ?scale:int -> ?bias:int -> int -> int\n"))
+  in
+  let summaries =
+    summarize ~file:"lib/w/widget.ml"
+      "let f ?(scale = 1) ?(bias = 0) x = (scale * x) + bias\n\
+       let g x = f ~bias:1 x\n"
+    :: List.map (fun (f, s) -> summarize ~file:f s) users
+  in
+  let fired = ref [] in
+  Reach.analyze (Reach.build ~exports summaries [])
+    ~enabled:(String.equal "dead-option")
+    ~report:(fun ~rule:_ ~file:_ ~pos:_ ~message -> fired := message :: !fired);
+  !fired
+
+let test_dead_option_on_last_passer () =
+  Alcotest.(check (list string)) "the own unit's call and a test's pass both"
+    []
+    (dead_options
+       ~users:[ ("test/test_w.ml", "let () = ignore (Widget.f ~scale:2 1)\n") ]);
+  Alcotest.(check (list string))
+    "deleting the last passer of a label makes the rule fire"
+    [ "Widget.f takes ?scale but no application passes it" ]
+    (dead_options
+       ~users:[ ("test/test_w.ml", "let () = ignore (Widget.f 1)\n") ]);
+  Alcotest.(check (list string)) "a function value may pass any label" []
+    (dead_options
+       ~users:[ ("test/test_w.ml", "let h = List.map Widget.f [ 1 ]\n") ])
+
 (* ------------------------------------------------------------------ *)
 (* Reachability closure: determinism and monotonicity *)
 
@@ -225,6 +259,9 @@ let () =
           Alcotest.test_case "hot-alloc fires" `Quick test_hot_alloc_fires;
           Alcotest.test_case "dead-export fires on the last reference" `Quick
             test_dead_export_on_last_reference;
+          Alcotest.test_case
+            "deleting the last passer of a label makes the rule fire" `Quick
+            test_dead_option_on_last_passer;
         ] );
       ( "reachability",
         List.map QCheck_alcotest.to_alcotest

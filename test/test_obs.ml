@@ -397,8 +397,8 @@ let test_log_jsonl () =
         (fun () ->
           Alcotest.(check bool) "info enabled" true (Log.enabled Log.Info);
           Alcotest.(check bool) "debug gated" false (Log.enabled Log.Debug);
-          Log.infof ~trace:"t/3" ~fields:[ ("solver", "amva") ]
-            ~src:"lattol.test" "rung %d" 2;
+          Log.infof ~fields:[ ("solver", "amva") ] ~src:"lattol.test"
+            "rung %d" 2;
           Log.debugf ~src:"lattol.test" "suppressed %s" "line";
           Log.errorf ~src:"lattol.test" "with \"quotes\"");
       let lines =
@@ -413,7 +413,6 @@ let test_log_jsonl () =
         [
           "\"level\":\"info\"";
           "\"src\":\"lattol.test\"";
-          "\"trace\":\"t/3\"";
           "\"msg\":\"rung 2\"";
           "\"solver\":\"amva\"";
         ];

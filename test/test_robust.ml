@@ -50,20 +50,43 @@ let test_zero_demand_class_inert () =
     "linearizer real finite" true
     (Float.is_finite lin.Solution.throughput.(0))
 
-(* NaN damping slips past the range check (NaN comparisons are false) and
-   poisons every queue update on the first sweep.  The solver must stop
-   immediately with [converged = false] rather than declare victory
-   (NaN deltas compare false against any threshold) or spin to the cap. *)
+(* Finite service times at the ends of the float range (1.7e308 and
+   1e-300) pass [Network.make] but overflow the first sweeps' queue
+   updates.  The solver must stop immediately with [converged = false]
+   rather than declare victory (NaN deltas compare false against any
+   threshold) or spin to the cap. *)
 let test_nan_residual_terminates () =
-  let nw = Mms.build_network default in
-  let options =
-    { Amva.default_options with Amva.damping = Float.nan }
+  let nw =
+    Network.make
+      ~stations:[| ("huge", Network.Queueing); ("tiny", Network.Queueing) |]
+      ~classes:
+        [|
+          {
+            Network.class_name = "c";
+            population = 50;
+            visits = [| 1.; 1. |];
+            service = [| 1.7e308; 1e-300 |];
+          };
+        |]
   in
-  let s = Amva.solve ~options nw in
+  let s = Amva.solve nw in
   Alcotest.(check bool) "not converged" false s.Solution.converged;
   Alcotest.(check bool)
     "stopped on first sweeps, not the cap" true
     (s.Solution.iterations < 5)
+
+(* A NaN damping fails every comparison, so a range check written as
+   [d < 0. || d >= 1.] would let it through to poison the sweep. *)
+let test_nan_damping_rejected () =
+  Alcotest.check_raises "Amva" (Invalid_argument "Amva.solve: damping in [0, 1)")
+    (fun () ->
+      ignore
+        (Amva.solve
+           ~options:{ Amva.default_options with Amva.damping = Float.nan }
+           (Mms.build_network default)));
+  Alcotest.check_raises "symmetric solver"
+    (Invalid_argument "Mms.solve_symmetric: damping in [0, 1)") (fun () ->
+      ignore (Mms.solve_network ~damping:Float.nan default))
 
 let test_on_sweep_abort () =
   let nw = Mms.build_network default in
@@ -433,6 +456,8 @@ let () =
             test_zero_demand_class_inert;
           Alcotest.test_case "NaN residual terminates" `Quick
             test_nan_residual_terminates;
+          Alcotest.test_case "NaN damping rejected" `Quick
+            test_nan_damping_rejected;
           Alcotest.test_case "on_sweep abort" `Quick test_on_sweep_abort;
           Alcotest.test_case "non-convergence propagates" `Quick
             test_nonconvergence_propagates;
