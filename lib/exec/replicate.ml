@@ -73,10 +73,12 @@ let stpn_measures ?(jobs = 1) ?chunk ?monitor ?journal ?causal ?(seed = 1)
     ?warmup ?horizon ?faults ~replications p =
   if replications < 1 then
     invalid_arg "Replicate.stpn_measures: replications must be at least 1";
+  let layout = Stpn.build ?faults p in
   summarize_measures
     (journaled_measures ~journal ~monitor ~chunk ~oversubscribe:None ~causal
        ~jobs
-       (fun s -> (Stpn.run ~seed:s ?warmup ?horizon ?faults p).Stpn.measures)
+       (fun s ->
+         (Stpn.run_layout ~seed:s ?warmup ?horizon layout).Stpn.measures)
        (stpn_seeds ~seed replications))
 
 let des ?(jobs = 1) ?chunk ?oversubscribe ?(config = Des.default_config)
@@ -101,8 +103,11 @@ let stpn ?(jobs = 1) ?(seed = 1) ?warmup ?horizon ~replications p =
   if replications < 1 then
     invalid_arg "Replicate.stpn: replications must be at least 1";
   let seeds = stpn_seeds ~seed replications in
+  let layout = Stpn.build p in
   let results =
-    Pool.map_list ~jobs (fun s -> Stpn.run ~seed:s ?warmup ?horizon p) seeds
+    Pool.map_list ~jobs
+      (fun s -> Stpn.run_layout ~seed:s ?warmup ?horizon layout)
+      seeds
   in
   summarize results
     ~u_p:(fun r -> r.Stpn.measures.Measures.u_p)

@@ -39,7 +39,11 @@ val stpn :
   Params.t ->
   Lattol_petri.Mms_stpn.result summary
 (** Stochastic-Petri-net replications with exponential memory service and
-    no faults, seeded from one root generator. *)
+    no faults, seeded from one root generator.  The net is built once,
+    before the fan-out, and every replication runs on it read-only
+    ({!Lattol_petri.Mms_stpn.run_layout}): the results are those of one
+    {!Lattol_petri.Mms_stpn.run} per seed, without a net built per
+    replication. *)
 
 val des_measures :
   ?jobs:int ->
@@ -84,4 +88,6 @@ val stpn_measures :
   Params.t ->
   Lattol_core.Measures.t summary
 (** {!stpn} at measures level, with [faults], journaled like
-    {!des_measures}. *)
+    {!des_measures}.  The (degraded) net is built once, before the
+    fan-out, as in {!stpn}, even when the journal replays every
+    replication. *)

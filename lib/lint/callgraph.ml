@@ -16,6 +16,7 @@ type event =
 type fn = {
   id : string;
   unit_name : string;
+  scopes : string list;
   file : string;
   pos : pos;
   arity : int;
@@ -245,6 +246,7 @@ let finish st coll ~id ~pos ~arity ~keyword_args ~hot ~par_root =
     {
       id;
       unit_name = st.unit_name;
+      scopes = st.scopes;
       file = st.file;
       pos;
       arity;

@@ -42,6 +42,9 @@ type event =
 type fn = {
   id : string;            (** ["Unit.path"], or ["Unit.!par.L.C"] roots *)
   unit_name : string;
+  scopes : string list;
+      (** enclosing nested modules as path prefixes (["A.B."]), innermost
+          first; [[]] at top level *)
   file : string;
   pos : pos;
   arity : int;            (** leading [fun] parameters; 0 = not a function *)

@@ -91,16 +91,18 @@ let build ?(exports = []) summaries globals =
   { fns; globals; exports; used = uses summaries;
     passed = passes exports summaries }
 
-(* Resolve a reference [path] made from inside [unit_name]: a definition
-   in the referencing unit shadows a unit of the same name. *)
-let resolve_in tbl ~unit_name path =
-  let own = unit_name ^ "." ^ path in
-  if Smap.mem own tbl then Some own
-  else if Smap.mem path tbl then Some path
-  else None
+(* Resolve a reference [path] made by [f]: a definition in an enclosing
+   nested module shadows one further out (innermost first), and one in
+   the referencing unit shadows a unit of the same name. *)
+let resolve_in tbl (f : Callgraph.fn) path =
+  let readings =
+    List.map (fun scope -> f.unit_name ^ "." ^ scope ^ path) f.scopes
+    @ [ f.unit_name ^ "." ^ path; path ]
+  in
+  List.find_opt (fun id -> Smap.mem id tbl) readings
 
-let resolve_fn p ~unit_name path = resolve_in p.fns ~unit_name path
-let resolve_global p ~unit_name path = resolve_in p.globals ~unit_name path
+let resolve_fn p f path = resolve_in p.fns f path
+let resolve_global p f path = resolve_in p.globals f path
 
 (* ------------------------------------------------------------------ *)
 (* Reachability.  Pure worklist closure over an explicit edge list —
@@ -130,7 +132,7 @@ let edges_of p =
     (fun id (f : Callgraph.fn) acc ->
       let dsts =
         List.filter_map
-          (fun (path, _) -> resolve_fn p ~unit_name:f.unit_name path)
+          (fun (path, _) -> resolve_fn p f path)
           f.calls
       in
       (id, List.sort_uniq String.compare dsts) :: acc)
@@ -186,7 +188,7 @@ let mutated_anywhere p =
         (fun acc (ev, _) ->
           match ev with
           | Callgraph.Mutate { target; _ } -> (
-            match resolve_global p ~unit_name:f.unit_name target with
+            match resolve_global p f target with
             | Some id -> Sset.add id acc
             | None -> acc)
           | _ -> acc)
@@ -239,7 +241,7 @@ let analyze p ~enabled ~(report : reporter) =
         (fun (ev, pos) ->
           match ev with
           | Callgraph.Mutate { target; under_lock } when fn_in_par -> (
-            match resolve_global p ~unit_name:f.unit_name target with
+            match resolve_global p f target with
             | Some gid ->
               let g = Smap.find gid p.globals in
               if shared_kinds_hazard g && not under_lock then
@@ -249,7 +251,7 @@ let analyze p ~enabled ~(report : reporter) =
                   (Mutstate.kind_name g.kind) g.id (root_name f.id)
             | None -> ())
           | Callgraph.Read { target; under_lock } when fn_in_par -> (
-            match resolve_global p ~unit_name:f.unit_name target with
+            match resolve_global p f target with
             | Some gid ->
               let g = Smap.find gid p.globals in
               if
@@ -265,7 +267,7 @@ let analyze p ~enabled ~(report : reporter) =
             match target with
             | None -> ()
             | Some t -> (
-              match resolve_global p ~unit_name:f.unit_name t with
+              match resolve_global p f t with
               | Some gid ->
                 let g = Smap.find gid p.globals in
                 if g.kind = Mutstate.Prng then
@@ -286,7 +288,7 @@ let analyze p ~enabled ~(report : reporter) =
                 (if in_loop then "per iteration" else "per call")
                 (root_name f.id)
           | Callgraph.Partial { callee; given } when fn_in_hot -> (
-            match resolve_fn p ~unit_name:f.unit_name callee with
+            match resolve_fn p f callee with
             | Some cid ->
               let c = Smap.find cid p.fns in
               if

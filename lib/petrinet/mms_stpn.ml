@@ -19,7 +19,15 @@ type layout = {
 
 type memory_distribution = Exponential_memory | Deterministic_memory
 
-let build ?(memory = Exponential_memory) p =
+let build ?(memory = Exponential_memory) ?faults p =
+  (* The token game has no native failure-repair transitions; mirror the
+     DES fault plan quasi-statically by inflating the affected service
+     times to their availability-weighted means. *)
+  let p =
+    match faults with
+    | None -> p
+    | Some plan -> Lattol_robust.Fault_plan.degrade_params plan p
+  in
   let p = Params.validate_exn p in
   if p.Params.n_t < 1 then invalid_arg "Mms_stpn.build: n_t >= 1";
   if p.Params.l_mem <= 0. || p.Params.s_switch <= 0. then
@@ -272,17 +280,7 @@ type result = {
   layout : layout;
 }
 
-let run ?(seed = 1) ?(warmup = 1_000.) ?(horizon = 100_000.) ?memory ?faults p
-    =
-  (* The token game has no native failure-repair transitions; mirror the
-     DES fault plan quasi-statically by inflating the affected service
-     times to their availability-weighted means. *)
-  let p =
-    match faults with
-    | None -> p
-    | Some plan -> Lattol_robust.Fault_plan.degrade_params plan p
-  in
-  let layout = build ?memory p in
+let run_layout ?(seed = 1) ?(warmup = 1_000.) ?(horizon = 100_000.) layout =
   let stats = Simulation.simulate ~seed ~warmup ~horizon layout.net in
   let exec_rate =
     Array.fold_left (fun acc tr -> acc +. stats.Simulation.rates.(tr)) 0. layout.exec
@@ -310,6 +308,9 @@ let run ?(seed = 1) ?(warmup = 1_000.) ?(horizon = 100_000.) ?memory ?faults p
     }
   in
   { measures; stats; layout }
+
+let run ?seed ?warmup ?horizon ?memory ?faults p =
+  run_layout ?seed ?warmup ?horizon (build ?memory ?faults p)
 
 let exact p =
   let layout = build p in

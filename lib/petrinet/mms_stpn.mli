@@ -38,11 +38,21 @@ type memory_distribution =
       (** the paper's Section 8 sensitivity check: deterministic [L] moved
           [S_obs] by less than 10% *)
 
-val build : ?memory:memory_distribution -> Params.t -> layout
+val build :
+  ?memory:memory_distribution -> ?faults:Lattol_robust.Fault_plan.t ->
+  Params.t -> layout
 (** Construct the net.  Requires [runlength > 0], [l_mem > 0] and
     [s_switch > 0] (zero-delay subsystems have no STPN counterpart), and
     [n_t >= 1].  [memory] (default exponential) selects the memory service
-    distribution. *)
+    distribution.  [faults] applies the quasi-static view of a fault plan
+    ({!Lattol_robust.Fault_plan.degrade_params}): switch and memory
+    service times are inflated to their availability-weighted means, so
+    the net models the long-run average of the degraded machine rather
+    than individual outages (the DES injects those exactly);
+    [layout.params] carries the degraded service times.
+
+    A built layout is immutable: any number of {!run_layout} calls, on
+    any domains, may share it. *)
 
 type result = {
   measures : Measures.t;     (** same record as the model and the DES *)
@@ -50,17 +60,17 @@ type result = {
   layout : layout;
 }
 
+val run_layout :
+  ?seed:int -> ?warmup:float -> ?horizon:float -> layout -> result
+(** Token-game simulation of a built net (default warm-up 1_000, horizon
+    100_000 — the paper's run length).  Replications share one layout
+    this way instead of building the net once each. *)
+
 val run :
   ?seed:int -> ?warmup:float -> ?horizon:float ->
   ?memory:memory_distribution ->
   ?faults:Lattol_robust.Fault_plan.t -> Params.t -> result
-(** Token-game simulation (default warm-up 1_000, horizon 100_000 — the
-    paper's run length).  [faults] applies the quasi-static view of a
-    fault plan ({!Lattol_robust.Fault_plan.degrade_params}): switch and
-    memory service times are inflated to their availability-weighted
-    means, so the net models the long-run average of the degraded machine
-    rather than individual outages (the DES injects those exactly).  The
-    returned [layout.params] carries the degraded service times. *)
+(** {!build} then {!run_layout}. *)
 
 val exact : Params.t -> Measures.t
 (** Exact stationary solution via the tangible reachability graph; only

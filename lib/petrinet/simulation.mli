@@ -34,7 +34,7 @@
     tests are plain loops, services in progress live in per-transition
     arrays that double when full, and each transition has one completion
     callback shared by its services.  What remains per service is the
-    engine's event record and the delay draw.
+    engine's cancellation handle and the delay draw.
 
     The stationary estimates this produces (time-averaged markings, firing
     rates, busy fractions) are what the paper reports from its STPN runs. *)

@@ -27,8 +27,13 @@ let[@lattol.hot] solve network =
   for c = 1 to num_cls - 1 do
     strides.(c) <- strides.(c - 1) * (pops.(c - 1) + 1)
   done;
-  (* queues.(idx) holds q_{c,m} for the population vector encoded by idx. *)
-  let queues = Array.make nvec [||] in
+  (* One preallocated slab holds q_{c,m} of every population vector: the
+     vector encoded by idx owns the [width] cells from [idx * width],
+     q_{c,m} at offset [c * num_st + m].  Each block is written once, by
+     its own iteration, and cells of a class with no population there
+     keep their initial 0. *)
+  let width = num_cls * num_st in
+  let queues = Float.Array.make (nvec * width) 0. in
   let throughput = Array.make num_cls 0. in
   let residence = Array.make_matrix num_cls num_st 0. in
   (* Per-vector scratch is allocated once and reused across all [nvec]
@@ -45,13 +50,10 @@ let[@lattol.hot] solve network =
     for c = 0 to num_cls - 1 do
       n.(c) <- idx / strides.(c) mod (pops.(c) + 1)
     done;
-    (* [q] escapes into the state table, so it really is one fresh array
-       per population vector; grandfathered in .lattol-baseline until the
-       table is flattened into a single preallocated slab. *)
-    let q = Array.make (num_cls * num_st) 0. in
+    let q = idx * width in
     for c = 0 to num_cls - 1 do
       if n.(c) > 0 then begin
-        let q_minus = queues.(idx - strides.(c)) in
+        let q_minus = (idx - strides.(c)) * width in
         (* Residence times by the arrival theorem. *)
         cycle := 0.;
         for m = 0 to num_st - 1 do
@@ -72,7 +74,7 @@ let[@lattol.hot] solve network =
                   backlog :=
                     !backlog
                     +. Network.service_time network ~cls:j ~station:m
-                       *. q_minus.((j * num_st) + m)
+                       *. Float.Array.get queues (q_minus + (j * num_st) + m)
                 done;
                 s +. !backlog
               | Network.Multi_server servers ->
@@ -86,7 +88,7 @@ let[@lattol.hot] solve network =
                     !backlog
                     +. Network.service_time network ~cls:j ~station:m
                        *. scale
-                       *. q_minus.((j * num_st) + m)
+                       *. Float.Array.get queues (q_minus + (j * num_st) + m)
                 done;
                 let cf = float_of_int servers in
                 let excess = Float.max 0. (!backlog -. (cf -. 1.)) in
@@ -98,11 +100,12 @@ let[@lattol.hot] solve network =
         done;
         lambda.(c) <- float_of_int n.(c) /. !cycle;
         for m = 0 to num_st - 1 do
-          q.((c * num_st) + m) <- lambda.(c) *. res.(c).(m)
+          Float.Array.set queues
+            (q + (c * num_st) + m)
+            (lambda.(c) *. res.(c).(m))
         done
       end
     done;
-    queues.(idx) <- q;
     if idx = nvec - 1 then begin
       Array.blit lambda 0 throughput 0 num_cls;
       for c = 0 to num_cls - 1 do
@@ -110,12 +113,13 @@ let[@lattol.hot] solve network =
       done
     end
   done;
-  let final_q = queues.(nvec - 1) in
+  let final_q = (nvec - 1) * width in
   (* Result assembly, once per solve: the per-class rows here are the
      returned solution, not per-state scratch. *)
   let[@lattol.allow "hot-alloc"] queue =
     Array.init num_cls (fun c ->
-        Array.init num_st (fun m -> final_q.((c * num_st) + m)))
+        Array.init num_st (fun m ->
+            Float.Array.get queues (final_q + (c * num_st) + m)))
   in
   {
     Solution.network;

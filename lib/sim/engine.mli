@@ -3,7 +3,14 @@
     A pending-event set (binary heap keyed by time, with a sequence number
     so that simultaneous events fire in schedule order — determinism
     matters for reproducible experiments) plus a simulation clock.  Events
-    are plain closures; model components schedule each other. *)
+    are plain closures; model components schedule each other.
+
+    The heap is kept as parallel arrays (unboxed times, sequence numbers,
+    actions, handles), so {!schedule}, {!schedule_at} and {!run} allocate
+    nothing per event: a model that schedules closures it made once (a
+    station's server slots, a thread's continuation) runs allocation-free
+    apart from the floats that cross into the engine boxed.  Only
+    {!schedule_cancellable} allocates, its handle. *)
 
 type t
 
@@ -13,7 +20,8 @@ val now : t -> float
 (** Current simulation time. *)
 
 val schedule : t -> delay:float -> (unit -> unit) -> unit
-(** [schedule t ~delay f] runs [f] at [now t +. delay].  [delay >= 0]. *)
+(** [schedule t ~delay f] runs [f] at [now t +. delay].  [delay] must be
+    finite and [>= 0]; otherwise raises [Invalid_argument]. *)
 
 val schedule_at : t -> time:float -> (unit -> unit) -> unit
 (** Absolute-time variant; [time] must not be in the past. *)
@@ -21,7 +29,8 @@ val schedule_at : t -> time:float -> (unit -> unit) -> unit
 type handle
 
 val schedule_cancellable : t -> delay:float -> (unit -> unit) -> handle
-(** Like {!schedule} but returns a handle usable with {!cancel}. *)
+(** Like {!schedule} (and rejecting the same delays) but returns a handle
+    usable with {!cancel}. *)
 
 val cancel : t -> handle -> unit
 (** Cancels a pending event; a no-op if it already fired or was cancelled. *)

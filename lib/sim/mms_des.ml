@@ -69,15 +69,50 @@ type fault_acc = {
   mutable open_outages : float list; (* start times of outages in progress *)
 }
 
+(* Where a thread's pending station visit is.  The thread's one
+   continuation, made at spawn, runs when that visit's service completes
+   and advances the thread by one stage. *)
+type stage =
+  | Compute        (* its processor *)
+  | Local_memory   (* its node's memory *)
+  | Su_request     (* its node's SU, sending a remote request *)
+  | Out_request    (* its node's outbound switch *)
+  | Hop_request    (* an inbound switch on the way to [dst] *)
+  | Su_remote      (* [dst]'s SU *)
+  | Remote_memory  (* [dst]'s memory *)
+  | Out_response   (* [dst]'s outbound switch *)
+  | Hop_response   (* an inbound switch on the way home *)
+  | Su_response    (* its node's SU, receiving the response *)
+
+(* A thread's floats, unboxed. *)
+type thread_clocks = {
+  mutable trip_start : float; (* when the current one-way trip began *)
+  mutable arrived : float;    (* when the pending visit was queued *)
+  mutable started : float;    (* traced runs: when its service began *)
+}
+
+type thread = {
+  home : int;
+  tid : int;
+  script : Trace.step array; (* [||] for a statistical thread *)
+  mutable pos : int;         (* next script step *)
+  mutable stage : stage;
+  mutable dst : int;         (* the current access's memory module *)
+  mutable node : int;        (* the message's position on a trip *)
+  clocks : thread_clocks;
+  mutable k : unit -> unit;
+  mutable on_start : (unit -> unit) option; (* traced runs only *)
+}
+
 type state = {
   engine : Engine.t;
   topo : Topology.t;
   probs : float array array;     (* access matrix rows *)
-  procs : unit Station.t array;  (* payloads are unit; flow lives in closures *)
-  mems : unit Station.t array;
-  sw_in : unit Station.t array;
-  sw_out : unit Station.t array;
-  sync_units : unit Station.t array option;
+  procs : Station.t array;
+  mems : Station.t array;
+  sw_in : Station.t array;
+  sw_out : Station.t array;
+  sync_units : Station.t array option;
       (* EARTH-style SUs; None on the paper's plain PE *)
   trip_times : Moments.t;        (* one-way network trips *)
   rng : Prng.t;
@@ -85,12 +120,17 @@ type state = {
   mutable remote_issued : int;
   mutable measuring : bool;
   mutable measure_start : float; (* clock value when measuring began *)
-  mem_priority : bool;
+  remote_priority : int option;
+      (* memory priority of remote accesses: [Some 1] puts them behind
+         local ones *)
   fault_targets :
-    (Fault_plan.process * fault_acc * unit Station.t array) list;
+    (Fault_plan.process * fault_acc * Station.t array) list;
   trace : Ev.t option;
   metrics : Metrics.t option;
-  trip_hist : Metrics.histogram option; (* trip-time distribution series *)
+  on_trip : (thread -> float -> unit) option;
+      (* a measured trip's other recorders (histogram, trace span):
+         installed only with a sink, and called through this field, so
+         they stay outside the allocation-free thread path *)
 }
 
 let build (config : config) p =
@@ -169,17 +209,30 @@ let build (config : config) p =
     remote_issued = 0;
     measuring = false;
     measure_start = 0.;
-    mem_priority = config.local_memory_priority;
+    remote_priority = (if config.local_memory_priority then Some 1 else None);
     fault_targets;
     trace = config.trace;
     metrics = config.metrics;
-    trip_hist =
-      Option.map
-        (fun m ->
-          Metrics.histogram m ~help:"one-way network trip times" ~lo:0.
-            ~hi:(50. *. Float.max 1. p.Params.s_switch)
-            ~bins:64 "trip_time")
-        config.metrics;
+    on_trip =
+      (let hist =
+         Option.map
+           (fun m ->
+             Metrics.histogram m ~help:"one-way network trip times" ~lo:0.
+               ~hi:(50. *. Float.max 1. p.Params.s_switch)
+               ~bins:64 "trip_time")
+           config.metrics
+       in
+       match (hist, config.trace) with
+       | None, None -> None
+       | hist, trace ->
+         Some
+           (fun th dur ->
+             Option.iter (fun h -> Metrics.record h dur) hist;
+             Option.iter
+               (fun tr ->
+                 Ev.emit tr ~pid:th.home ~cat:"net" ~track:th.tid
+                   ~name:"network-trip" ~t0:th.clocks.trip_start dur)
+               trace));
   }
 
 (* ------------------------------------------------------------------ *)
@@ -209,7 +262,7 @@ let rec station_fault_cycle st acc (pr : Fault_plan.process) rng station =
         Station.set_speed station pr.Fault_plan.degrade
       else
         for _ = 1 to Station.servers station do
-          Station.submit ~duration:ttr station () (fun () -> ())
+          Station.submit ~duration:ttr station ignore
         done;
       Engine.schedule st.engine ~delay:ttr (fun () ->
           if pr.Fault_plan.degrade > 0. then Station.set_speed station 1.;
@@ -239,7 +292,7 @@ let pp_fault_stats ppf f =
    in progress up to the current clock. *)
 let fault_report st ~sim_time =
   List.map
-    (fun ((_ : Fault_plan.process), acc, (_ : unit Station.t array)) ->
+    (fun ((_ : Fault_plan.process), acc, (_ : Station.t array)) ->
       let now = Engine.now st.engine in
       let open_downtime =
         List.fold_left
@@ -260,125 +313,154 @@ let fault_report st ~sim_time =
       })
     st.fault_targets
 
-(* Submit work to [station] on behalf of thread [tid] of node [pid],
-   emitting a queue span (when any waiting occurred) and a service span to
-   the tracer.  Spans are attributed to the issuing thread's lane, not the
-   station's, so a thread's Perfetto track reads as the paper's latency
-   decomposition.  Without a tracer this is exactly [Station.submit]. *)
-let tsubmit ?priority ?duration st ~pid ~tid ~queue ~service ~cat station k =
-  match st.trace with
-  | None -> Station.submit ?priority ?duration station () k
-  | Some tr ->
-    let arrived = Engine.now st.engine in
-    let started = ref arrived in
-    Station.submit ?priority ?duration
-      ~on_start:(fun () ->
-        let now = Engine.now st.engine in
-        started := now;
-        if st.measuring && now > arrived then
-          Ev.emit tr ~pid ~cat ~track:tid ~name:queue ~t0:arrived
-            (now -. arrived))
-      station ()
-      (fun () ->
-        (if st.measuring then
-           let now = Engine.now st.engine in
-           Ev.emit tr ~pid ~cat ~track:tid ~name:service ~t0:!started
-             (now -. !started));
-        k ())
+(* Queue thread [th]'s next station visit; [stage] names it. *)
+let visit ?priority ?duration st th stage station =
+  th.stage <- stage;
+  th.clocks.arrived <- Engine.now st.engine;
+  Station.submit ?priority ?duration ?on_start:th.on_start station th.k
 
-(* Walk a message through the inbound switches along [route], then continue. *)
-let rec traverse st ~pid ~tid route k =
-  match route with
-  | [] -> k ()
-  | hop :: rest ->
-    tsubmit st ~pid ~tid ~queue:"switch-queue" ~service:"network-transit"
-      ~cat:"net" st.sw_in.(hop)
-      (fun () -> traverse st ~pid ~tid rest k)
-
-(* One finished one-way trip: feeds the [s_obs] estimator, the trip-time
-   histogram and — as a span covering the whole trip — the tracer, where
-   it overlays the switch spans it is made of. *)
-let record_trip st ~pid ~tid t0 =
+(* A finished one-way trip feeds the [s_obs] estimator and any other
+   recorder of trips. *)
+let record_trip st th =
   if st.measuring then begin
-    let dur = Engine.now st.engine -. t0 in
+    let dur = Engine.now st.engine -. th.clocks.trip_start in
     Moments.add st.trip_times dur;
-    Option.iter (fun h -> Metrics.record h dur) st.trip_hist;
-    Option.iter
-      (fun tr ->
-        Ev.emit tr ~pid ~cat:"net" ~track:tid ~name:"network-trip" ~t0 dur)
-      st.trace
+    match st.on_trip with Some f -> f th dur | None -> ()
   end
 
-(* Pass through the node's synchronization unit if the machine has one. *)
-let via_su st ~pid ~tid node k =
-  match st.sync_units with
-  | None -> k ()
-  | Some sus ->
-    tsubmit st ~pid ~tid ~queue:"su-queue" ~service:"su-service" ~cat:"sync"
-      sus.(node) k
+(* Start the thread's next activation at its processor: a statistical
+   thread draws its target when the burst ends, a scripted one replays
+   its next step. *)
+let compute st th =
+  if Array.length th.script = 0 then visit st th Compute st.procs.(th.home)
+  else begin
+    let step = th.script.(th.pos) in
+    th.pos <- (th.pos + 1) mod Array.length th.script;
+    th.dst <- step.Trace.target;
+    visit ~duration:step.Trace.compute st th Compute st.procs.(th.home)
+  end
 
-(* Perform one memory access from [home] to [dst] and call [k] when the
-   response is back at the thread.  Remote accesses are injected at the
-   source SU, handled at the destination SU before the memory, and
-   completed at the source SU (no-ops without SUs). *)
-let access st ~tid home dst k =
-  let pid = home in
-  if dst = home then
-    (* local accesses use the default (highest) priority level *)
-    tsubmit st ~pid ~tid ~queue:"memory-queue" ~service:"memory-service"
-      ~cat:"mem" st.mems.(home) k
+let finish st th =
+  if st.measuring then st.completions <- st.completions + 1;
+  compute st th
+
+(* The request leaves through its node's outbound switch. *)
+let send st th =
+  th.clocks.trip_start <- Engine.now st.engine;
+  th.node <- th.home;
+  visit st th Out_request st.sw_out.(th.home)
+
+let remote_memory st th =
+  visit ?priority:st.remote_priority st th Remote_memory st.mems.(th.dst)
+
+(* One memory access from [home] to [dst].  Remote accesses are
+   injected at the source SU, handled at the destination SU before the
+   memory, and completed at the source SU (no-op stages without SUs);
+   local accesses use the default (highest) memory priority. *)
+let access st th =
+  if th.dst = th.home then visit st th Local_memory st.mems.(th.home)
   else begin
     if st.measuring then st.remote_issued <- st.remote_issued + 1;
-    via_su st ~pid ~tid home (fun () ->
-        let t0 = Engine.now st.engine in
-        tsubmit st ~pid ~tid ~queue:"switch-queue" ~service:"network-transit"
-          ~cat:"net" st.sw_out.(home)
-          (fun () ->
-            traverse st ~pid ~tid (Topology.route st.topo ~src:home ~dst)
-              (fun () ->
-                record_trip st ~pid ~tid t0;
-                via_su st ~pid ~tid dst (fun () ->
-                    let priority = if st.mem_priority then 1 else 0 in
-                    tsubmit ~priority st ~pid ~tid ~queue:"memory-queue"
-                      ~service:"memory-service" ~cat:"mem" st.mems.(dst)
-                      (fun () ->
-                        let t1 = Engine.now st.engine in
-                        tsubmit st ~pid ~tid ~queue:"switch-queue"
-                          ~service:"network-transit" ~cat:"net"
-                          st.sw_out.(dst)
-                          (fun () ->
-                            traverse st ~pid ~tid
-                              (Topology.route st.topo ~src:dst ~dst:home)
-                              (fun () ->
-                                record_trip st ~pid ~tid t1;
-                                via_su st ~pid ~tid home k)))))))
+    match st.sync_units with
+    | Some sus -> visit st th Su_request sus.(th.home)
+    | None -> send st th
   end
 
-let finish_step st =
-  if st.measuring then st.completions <- st.completions + 1
+(* Walk a message one inbound switch at a time, along the
+   dimension-order route from [th.node] to [towards]; [arrive] runs at
+   the destination. *)
+let[@inline] hop st th stage ~towards arrive =
+  if th.node = towards then begin
+    record_trip st th;
+    arrive st th
+  end
+  else begin
+    th.node <- Topology.next_hop st.topo ~node:th.node ~dst:towards;
+    visit st th stage st.sw_in.(th.node)
+  end
 
-(* Statistical thread: exponential compute drawn by the processor station,
-   destination sampled from the access matrix. *)
-let rec thread_cycle st home tid =
-  tsubmit st ~pid:home ~tid ~queue:"ready-queue" ~service:"compute"
-    ~cat:"proc" st.procs.(home)
-    (fun () ->
-      let dst = Variate.discrete st.rng st.probs.(home) in
-      access st ~tid home dst (fun () ->
-          finish_step st;
-          thread_cycle st home tid))
+let at_remote st th =
+  match st.sync_units with
+  | Some sus -> visit st th Su_remote sus.(th.dst)
+  | None -> remote_memory st th
 
-(* Scripted thread: compute times and targets replayed cyclically from a
-   trace. *)
-let rec trace_cycle st home tid script pos =
-  let step = script.(!pos) in
-  pos := (!pos + 1) mod Array.length script;
-  tsubmit ~duration:step.Trace.compute st ~pid:home ~tid ~queue:"ready-queue"
-    ~service:"compute" ~cat:"proc" st.procs.(home)
-    (fun () ->
-      access st ~tid home step.Trace.target (fun () ->
-          finish_step st;
-          trace_cycle st home tid script pos))
+let at_home st th =
+  match st.sync_units with
+  | Some sus -> visit st th Su_response sus.(th.home)
+  | None -> finish st th
+
+(* The thread's continuation: the visit named by [th.stage] has been
+   served; queue the next one.  Allocation-free, so every event of the
+   DES is (apart from the floats boxed where they cross into the engine,
+   the stations and the statistics). *)
+let[@lattol.hot] advance st th =
+  match th.stage with
+  | Compute ->
+    if Array.length th.script = 0 then
+      th.dst <- Variate.discrete st.rng st.probs.(th.home);
+    access st th
+  | Local_memory | Su_response -> finish st th
+  | Su_request -> send st th
+  | Out_request | Hop_request ->
+    hop st th Hop_request ~towards:th.dst at_remote
+  | Su_remote -> remote_memory st th
+  | Remote_memory ->
+    th.clocks.trip_start <- Engine.now st.engine;
+    th.node <- th.dst;
+    visit st th Out_response st.sw_out.(th.dst)
+  | Out_response | Hop_response ->
+    hop st th Hop_response ~towards:th.home at_home
+
+(* The span names and category of a stage's station. *)
+let span_names = function
+  | Compute -> ("ready-queue", "compute", "proc")
+  | Local_memory | Remote_memory -> ("memory-queue", "memory-service", "mem")
+  | Su_request | Su_remote | Su_response -> ("su-queue", "su-service", "sync")
+  | Out_request | Hop_request | Out_response | Hop_response ->
+    ("switch-queue", "network-transit", "net")
+
+(* Make thread [tid] of node [home] and start its first activation.
+   With a tracer, its continuation and start hook also emit each
+   measured visit's queue span (when it waited) and service span on the
+   thread's lane (pid = node, track = thread), so a thread's Perfetto
+   track reads as the paper's latency decomposition. *)
+let spawn st ~home ~tid script =
+  let th =
+    {
+      home;
+      tid;
+      script;
+      pos = 0;
+      stage = Compute;
+      dst = home;
+      node = home;
+      clocks = { trip_start = 0.; arrived = 0.; started = 0. };
+      k = ignore;
+      on_start = None;
+    }
+  in
+  (match st.trace with
+  | None -> th.k <- (fun () -> advance st th)
+  | Some tr ->
+    th.on_start <-
+      Some
+        (fun () ->
+          let now = Engine.now st.engine and arrived = th.clocks.arrived in
+          th.clocks.started <- now;
+          if st.measuring && now > arrived then begin
+            let queue, _, cat = span_names th.stage in
+            Ev.emit tr ~pid:home ~cat ~track:tid ~name:queue ~t0:arrived
+              (now -. arrived)
+          end);
+    th.k <-
+      (fun () ->
+        (if st.measuring then
+           let _, service, cat = span_names th.stage in
+           Ev.emit tr ~pid:home ~cat ~track:tid ~name:service
+             ~t0:th.clocks.started
+             (Engine.now st.engine -. th.clocks.started));
+        advance st th));
+  compute st th
 
 let name_thread st home tid =
   Option.iter
@@ -405,7 +487,7 @@ let start ?launch config p =
     for home = 0 to n - 1 do
       for tid = 0 to p.Params.n_t - 1 do
         name_thread st home tid;
-        thread_cycle st home tid
+        spawn st ~home ~tid [||]
       done
     done);
   Engine.run ~until:config.warmup st.engine;
@@ -593,8 +675,7 @@ let run_trace ?(config = default_config) ~base trace =
     for home = 0 to n - 1 do
       for th = 0 to Trace.threads_at trace ~node:home - 1 do
         name_thread st home th;
-        trace_cycle st home th (Trace.script trace ~node:home ~thread:th)
-          (ref 0)
+        spawn st ~home ~tid:th (Trace.script trace ~node:home ~thread:th)
       done
     done
   in

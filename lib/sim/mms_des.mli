@@ -9,7 +9,18 @@
     (deterministic memory service) is available through {!service_model}.
 
     Agreement between this simulator, the STPN simulator and the AMVA model
-    on [lambda_net] and [S_obs] reproduces the paper's Figure 11. *)
+    on [lambda_net] and [S_obs] reproduces the paper's Figure 11.
+
+    Each thread is one preallocated record whose single continuation,
+    made when the thread starts, advances it a stage per station visit:
+    compute, then the local memory or the remote trip (source SU,
+    outbound switch, each inbound switch of the dimension-order route,
+    walked hop by hop with {!Lattol_topology.Topology.next_hop}, the
+    destination SU and memory, and back the same way).  With the
+    {!Engine} and {!Station} allocation-free, an event allocates only the
+    floats boxed where they cross a module boundary: about 11 minor words
+    per event on the default 4x4.  Recorders ([trace], [metrics])
+    allocate per record, and are reached only when attached. *)
 
 open Lattol_core
 

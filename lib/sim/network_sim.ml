@@ -12,7 +12,7 @@ type state = {
   engine : Engine.t;
   rng : Prng.t;
   network : Network.t;
-  stations : unit Station.t option array; (* None for delay stations *)
+  stations : Station.t option array; (* None for delay stations *)
   (* per-class visit CDF support: visits and their totals *)
   visit_totals : float array;
   (* statistics: per (class, station) occupancy with time integrals *)
@@ -83,7 +83,7 @@ let rec visit st c cust m =
         if now > arrived then
           span st ~c ~cust ~name:(sname ^ ":queue") ~cat:"queue" ~t0:arrived
             (now -. arrived))
-      station ()
+      station
       (fun () ->
         let now = Engine.now st.engine in
         span st ~c ~cust ~name:sname ~cat:"service" ~t0:!started

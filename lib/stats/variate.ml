@@ -40,19 +40,26 @@ let scv d =
    named [mean] as a call of [mean] above. *)
 let exponential rng ~mean:m = -.m *. log (Prng.float_pos rng)
 
-(* Top-level recursion, here and in [erlang_sum]: a local loop closure
-   would be allocated on every draw. *)
-let rec index_of_draw weights x i acc =
-  if i = Array.length weights - 1 then i
-  else
-    let acc = acc +. weights.(i) in
-    if x < acc then i else index_of_draw weights x (i + 1) acc
-
-let discrete rng weights =
-  let total = Array.fold_left ( +. ) 0. weights in
-  if total <= 0. then invalid_arg "Variate.discrete: weights must sum > 0";
-  let x = Prng.float rng *. total in
-  index_of_draw weights x 0 0.
+(* Plain loops over unboxed locals: a fold or a recursive float
+   accumulator boxes every partial sum (77 words a draw on a 16-entry
+   access row), and the DES draws a destination per thread cycle.  The
+   sums run left to right, as the fold did, so every draw keeps its
+   bits. *)
+let[@lattol.hot] discrete rng weights =
+  let last = Array.length weights - 1 in
+  let total = ref 0. in
+  for i = 0 to last do
+    total := !total +. weights.(i)
+  done;
+  if !total <= 0. then invalid_arg "Variate.discrete: weights must sum > 0";
+  let x = Prng.float rng *. !total in
+  (* The first index whose running sum exceeds [x], else the last. *)
+  let i = ref 0 and acc = ref 0. and found = ref false in
+  while (not !found) && !i < last do
+    acc := !acc +. weights.(!i);
+    if x < !acc then found := true else incr i
+  done;
+  !i
 
 let geometric_trunc rng ~p ~max =
   if p <= 0. || p >= 1. then invalid_arg "Variate.geometric_trunc: p in (0,1)";
@@ -68,6 +75,8 @@ let geometric_trunc rng ~p ~max =
   in
   go 1 0.
 
+(* Top-level recursion: a local loop closure would be allocated on
+   every draw. *)
 let rec erlang_sum rng ~stage_mean i acc =
   if i = 0 then acc
   else erlang_sum rng ~stage_mean (i - 1) (acc +. exponential rng ~mean:stage_mean)

@@ -121,6 +121,24 @@ let iter_route t ~src ~dst f =
     done
   done
 
+(* [iter_route]'s step from [node]: the first dimension in which [node]
+   and [dst] differ moves one coordinate.  Plain int arguments: the DES
+   walks every message hop by hop through here. *)
+let rec next_hop_from t ~node ~dst d =
+  let c = coord t node d and target = coord t dst d in
+  if c = target then next_hop_from t ~node ~dst (d + 1)
+  else begin
+    let k = t.dims.(d) in
+    let next = ((c + axis_delta t d c target) mod k + k) mod k in
+    node + ((next - c) * t.strides.(d))
+  end
+
+let next_hop t ~node ~dst =
+  check_node t node "next_hop";
+  check_node t dst "next_hop";
+  if node = dst then invalid_arg "Topology.next_hop: node is the destination";
+  next_hop_from t ~node ~dst 0
+
 let route t ~src ~dst =
   let acc = ref [] in
   iter_route t ~src ~dst (fun hop -> acc := hop :: !acc);

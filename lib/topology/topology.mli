@@ -52,10 +52,16 @@ val distance : t -> node -> node -> int
 val max_distance : t -> int
 (** Network diameter ([d_max] in the paper). *)
 
+val next_hop : t -> node:node -> dst:node -> node
+(** The node a message at [node] bound for [dst] visits next on its
+    dimension-order route ([node <> dst]): walking it from [src] until
+    [dst] visits {!route}'s nodes, allocating nothing. *)
+
 val iter_route : t -> src:node -> dst:node -> (node -> unit) -> unit
 (** [iter_route t ~src ~dst f] applies [f] to each node of
     [route t ~src ~dst] in order, without building the list.  The one
-    routing implementation: {!route} is built on it. *)
+    routing implementation: {!route} is built on it, and {!next_hop}
+    takes its steps one at a time. *)
 
 val route : t -> src:node -> dst:node -> node list
 (** Dimension-order route from [src] to [dst]: the sequence of nodes the

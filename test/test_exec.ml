@@ -1461,6 +1461,46 @@ let test_replicate_rejects_sinks () =
        "Replicate.des: trace/metrics sinks require replications = 1")
     (fun () -> ignore (Replicate.des ~config ~replications:2 p))
 
+(* [Replicate.stpn_measures] builds the net once and shares it across
+   its replications, on any domain: every line is the one recorded when
+   each replication built its own, faulted machines included. *)
+let test_replicate_stpn_shared_net () =
+  let lines s = List.map Cache.encode_measures_line s.Replicate.results in
+  let s =
+    Replicate.stpn_measures ~jobs:2 ~seed:3 ~warmup:100. ~horizon:600.
+      ~replications:3 Params.default
+  in
+  Alcotest.(check (list string)) "default 4x4, jobs 2"
+    [
+      "u_p=0x1.aebe8c6f16468p-1;lambda=0x1.b2e147ae147aep-1;lambda_net=0x1.4f258bf258becp-3;s_obs=0x1.59433a3b312b1p+2;l_obs=0x1.ed2ae514dfee1p+1;cycle_time=0x1.2d65e904b597ap+3;util_memory=0x1.b5dece9dce6e5p-1;util_switch_in=0x1.1d8143a08f26ap-1;util_switch_out=0x1.5681e5e704442p-2;util_sync=0x0p+0;su_obs=0x0p+0;queue_processor=0x1.7b1cd717e5902p+1;queue_memory=0x1.a2e25a937d8f8p+1;queue_network=0x1.c4019ca939c1p+0;iterations=49614;converged=true";
+      "u_p=0x1.b93b9498d7741p-1;lambda=0x1.ace81b4e81b4fp-1;lambda_net=0x1.4c962fc962fc4p-3;s_obs=0x1.662de82566ed2p+2;l_obs=0x1.d4fa186dbecd3p+1;cycle_time=0x1.31987abf61171p+3;util_memory=0x1.acb68e67a67f2p-1;util_switch_in=0x1.244f9525ba904p-1;util_switch_out=0x1.494e4b61dad38p-2;util_sync=0x0p+0;su_obs=0x0p+0;queue_processor=0x1.8e777fd4baccap+1;queue_memory=0x1.88ddaac1e86c4p+1;queue_network=0x1.d155aad2b98e7p+0;iterations=49164;converged=true";
+      "u_p=0x1.b64bd5732ced3p-1;lambda=0x1.b740da740da74p-1;lambda_net=0x1.540da740da74p-3;s_obs=0x1.5a2d370cd0058p+2;l_obs=0x1.cfad1cca38ec7p+1;cycle_time=0x1.2a65b428489c3p+3;util_memory=0x1.ab8856fbec2aep-1;util_switch_in=0x1.279fc8e177c53p-1;util_switch_out=0x1.58c3fbfa0115ap-2;util_sync=0x0p+0;su_obs=0x0p+0;queue_processor=0x1.8c49148d334c1p+1;queue_memory=0x1.8dcba9a8cbeddp+1;queue_network=0x1.cbd68394018c6p+0;iterations=50598;converged=true";
+    ]
+    (lines s);
+  (match s.Replicate.u_p_ci with
+  | None -> Alcotest.fail "no CI with 3 replications"
+  | Some (mean, half) ->
+    Alcotest.(check (pair string string)) "U_p CI"
+      ("0x1.b4c1fcd3b38d4p-1", "0x1.ae2713524e148p-6")
+      (Printf.sprintf "%h" mean, Printf.sprintf "%h" half));
+  let plan =
+    {
+      Lattol_robust.Fault_plan.switch =
+        Some (Lattol_robust.Fault_plan.process ~mtbf:300. ~mttr:40. ~degrade:0.5);
+      memory =
+        Some (Lattol_robust.Fault_plan.process ~mtbf:250. ~mttr:30. ~degrade:0.);
+    }
+  in
+  Alcotest.(check (list string)) "3x3 with a fault plan"
+    [
+      "u_p=0x1.912264ccf15edp-1;lambda=0x1.8b3c4d5e6f809p-1;lambda_net=0x1.369d0369d0368p-3;s_obs=0x1.ee5e3f780e8e4p+1;l_obs=0x1.611ba89786e3ap+2;cycle_time=0x1.4ba14d1a9f5dep+3;util_memory=0x1.cac16ed8e9152p-1;util_switch_in=0x1.b6007e8618876p-2;util_switch_out=0x1.42e421215772p-2;util_sync=0x0p+0;su_obs=0x0p+0;queue_processor=0x1.48e1cfdb2bc1fp+1;queue_memory=0x1.10946d2a72275p+2;queue_network=0x1.2beaab9fdfdecp+0;iterations=16162;converged=true";
+      "u_p=0x1.9a2e76e2a5e1bp-1;lambda=0x1.930eca8641fdbp-1;lambda_net=0x1.372ea61d950c5p-3;s_obs=0x1.f1fd315aa66fdp+1;l_obs=0x1.44ae71ecfbe29p+2;cycle_time=0x1.4531aeb394532p+3;util_memory=0x1.c65fa4a2e8c57p-1;util_switch_in=0x1.ac50798a8451p-2;util_switch_out=0x1.48804ccdeb2c8p-2;util_sync=0x0p+0;su_obs=0x0p+0;queue_processor=0x1.69794adbd996fp+1;queue_memory=0x1.ff315fbe38622p+1;queue_network=0x1.2eaaaacbdc0dcp+0;iterations=16409;converged=true";
+    ]
+    (lines
+       (Replicate.stpn_measures ~jobs:1 ~seed:5 ~warmup:50. ~horizon:400.
+          ~faults:plan ~replications:2
+          { Params.default with Params.k = 3 }))
+
 let test_replicate_journal_batched () =
   (* Batched checkpointing (one fsync per pool chunk) must change neither
      the results nor the journal's contents: one record per replication,
@@ -1598,6 +1638,8 @@ let () =
           Alcotest.test_case "rejects sinks" `Quick test_replicate_rejects_sinks;
           Alcotest.test_case "journal batches per chunk" `Quick
             test_replicate_journal_batched;
+          Alcotest.test_case "STPN replications share one net" `Quick
+            test_replicate_stpn_shared_net;
         ] );
       ( "properties",
         qcheck

@@ -125,6 +125,32 @@ let test_hot_alloc_fires () =
   Alcotest.(check (list string))
     "per-iteration boxing in the hot region" [ "hot-alloc" ] rules
 
+(* A call made inside a nested module reads the name there first: the
+   sibling [Inner.weight] allocates, the toplevel [weight] it shadows
+   does not, so the finding names the sibling. *)
+let nested_hot_src =
+  "let weight _ x = x\n\
+   module Inner = struct\n\
+  \  let weight w x = (w, x)\n\
+  \  let[@lattol.hot] solve n =\n\
+  \    let acc = ref 0. in\n\
+  \    for _ = 1 to n do\n\
+  \      acc := !acc +. snd (weight 1. 0.)\n\
+  \    done;\n\
+  \    !acc\n\
+   end\n"
+
+let test_hot_alloc_nested_module () =
+  let p = Reach.build [ summarize ~file:"nested.ml" nested_hot_src ] [] in
+  let fired = ref [] in
+  Reach.analyze p
+    ~enabled:(fun rule -> rule = "hot-alloc")
+    ~report:(fun ~rule:_ ~file:_ ~pos:_ ~message -> fired := message :: !fired);
+  Alcotest.(check (list string))
+    "the sibling's tuple is in the hot region"
+    [ "tuple allocated per call in the hot region (Nested.Inner.weight)" ]
+    !fired
+
 (* dead-export: a library interface value stays alive exactly as long as
    some other unit names it. *)
 let dead_exports ~users =
@@ -257,6 +283,8 @@ let () =
           Alcotest.test_case "protected access is silent" `Quick
             test_phase2_silent_when_protected;
           Alcotest.test_case "hot-alloc fires" `Quick test_hot_alloc_fires;
+          Alcotest.test_case "hot-alloc follows nested-module calls" `Quick
+            test_hot_alloc_nested_module;
           Alcotest.test_case "dead-export fires on the last reference" `Quick
             test_dead_export_on_last_reference;
           Alcotest.test_case

@@ -646,8 +646,8 @@ let test_mms_stpn_recorded_lines () =
     stpn_recorded_lines
 
 (* An exact count over one default 4x4 run, net construction included:
-   the firing path allocates only the engine's event record and the
-   PRNG's draw per service (965 words per event when every firing
+   the firing path allocates only the engine's cancellation handle and
+   the PRNG's draw per service (965 words per event when every firing
    re-tested every transition on a touched place through closures). *)
 let test_mms_stpn_allocation () =
   let w0 = Gc.minor_words () in

@@ -197,6 +197,73 @@ let test_mva_delay_only () =
   close "X = N/Z" 2. s.Solution.throughput.(0);
   close "queue = N" 7. s.Solution.queue.(0).(0)
 
+(* Two [Mva.solve] solutions recorded while each population vector had
+   its own q-vector: the slab that replaced them keeps every bit.  The
+   second network has a delay, a queueing and a two-server station. *)
+let test_mva_recorded_solutions () =
+  let bits (s : Solution.t) =
+    List.map (Printf.sprintf "%h")
+      (Array.to_list s.Solution.throughput
+      @ List.concat_map Array.to_list (Array.to_list s.Solution.residence)
+      @ List.concat_map Array.to_list (Array.to_list s.Solution.queue))
+  in
+  Alcotest.(check (list string)) "two classes, two queues"
+    [
+      "0x1.82bfe13f7abdcp-1";
+      "0x1.8354454899f18p-1";
+      "0x1.617772a44227dp+0";
+      "0x1.4ba071163179cp+1";
+      "0x1.37feb5a2c32f9p+0";
+      "0x1.6ccdd51763dap+0";
+      "0x1.0aff84fdeaf6fp+0";
+      "0x1.f5007b0215091p+0";
+      "0x1.d80cc098c8ae7p-1";
+      "0x1.13f99fb39ba8ep+0";
+    ]
+    (bits (Mva.solve (two_class ())));
+  let three_kinds =
+    Network.make
+      ~stations:
+        [|
+          ("think", Network.Delay);
+          ("cpu", Network.Queueing);
+          ("pool", Network.Multi_server 2);
+        |]
+      ~classes:
+        [|
+          {
+            Network.class_name = "a";
+            population = 3;
+            visits = [| 1.; 1.; 0.5 |];
+            service = [| 2.; 0.5; 1.2 |];
+          };
+          {
+            Network.class_name = "b";
+            population = 2;
+            visits = [| 1.; 2.; 1. |];
+            service = [| 1.; 0.3; 0.8 |];
+          };
+        |]
+  in
+  Alcotest.(check (list string)) "delay, queueing and two-server stations"
+    [
+      "0x1.acf46c667c01dp-1";
+      "0x1.2f09a522f3a73p-1";
+      "0x1p+1";
+      "0x1.f62b0756ab768p-1";
+      "0x1.3333333333333p-1";
+      "0x1p+0";
+      "0x1.8e87a19077722p+0";
+      "0x1.a50c76bd9850ep-1";
+      "0x1.acf46c667c01dp+0";
+      "0x1.a4b7b2f58a61bp-1";
+      "0x1.015f743d7d9abp-1";
+      "0x1.2f09a522f3a73p-1";
+      "0x1.d7c18c127fe8ep-1";
+      "0x1.f2699d9518dfep-2";
+    ]
+    (bits (Mva.solve three_kinds))
+
 (* ------------------------------------------------------------------ *)
 (* AMVA *)
 
@@ -735,6 +802,7 @@ let () =
           Alcotest.test_case "multiclass Little" `Quick test_mva_multiclass_littles_law;
           Alcotest.test_case "state cap" `Quick test_mva_state_cap;
           Alcotest.test_case "delay only" `Quick test_mva_delay_only;
+          Alcotest.test_case "recorded solutions" `Quick test_mva_recorded_solutions;
         ] );
       ( "amva",
         [

@@ -173,6 +173,28 @@ let test_prng_copy () =
   Alcotest.(check int64) "copy continues identically" (Prng.bits64 a)
     (Prng.bits64 b)
 
+(* The first outputs recorded while the state was a boxed [int64]:
+   keeping the state in bytes must not move a bit of any stream. *)
+let test_prng_recorded_outputs () =
+  let first3 g =
+    let a = Prng.bits64 g in
+    let b = Prng.bits64 g in
+    [ a; b; Prng.bits64 g ]
+  in
+  Alcotest.(check (list int64)) "seed 1"
+    [ -4616330145664149646L; 6869446166584666695L; 8084911050856847527L ]
+    (first3 (Prng.create ~seed:1 ()));
+  Alcotest.(check (list int64)) "default seed"
+    [ -2901454630578392181L; 8703238342444992614L; 7264735077615930166L ]
+    (first3 (Prng.create ()));
+  let parent = Prng.create ~seed:1 () in
+  let child = Prng.split parent in
+  Alcotest.(check (list int64)) "split child"
+    [ -6699885206154003123L; -2537955891498307325L; -7719521118934686758L ]
+    (first3 child);
+  Alcotest.(check int64) "parent after split" 6869446166584666695L
+    (Prng.bits64 parent)
+
 (* ------------------------------------------------------------------ *)
 (* Variate *)
 
@@ -315,6 +337,38 @@ let test_moments_merge () =
   close "merged mean" (Moments.mean whole) (Moments.mean merged);
   close "merged variance" (Moments.variance whole) (Moments.variance merged);
   Alcotest.(check int) "merged count" 6 (Moments.count merged)
+
+(* Bits recorded while [count] was an int field of a mixed record:
+   the all-float accumulator must reproduce every one. *)
+let test_moments_recorded_bits () =
+  let g = Prng.create ~seed:11 () in
+  let a = Moments.create () and b = Moments.create () in
+  for i = 1 to 1000 do
+    let x = Variate.exponential g ~mean:2.5 in
+    if i mod 3 = 0 then Moments.add b x else Moments.add a x
+  done;
+  let bits name m (count, mean, variance, min, max) =
+    Alcotest.(check int) (name ^ " count") count (Moments.count m);
+    List.iter
+      (fun (what, expected, got) ->
+        Alcotest.(check string) (name ^ " " ^ what) expected
+          (Printf.sprintf "%h" got))
+      [
+        ("mean", mean, Moments.mean m);
+        ("variance", variance, Moments.variance m);
+        ("min", min, Moments.min m);
+        ("max", max, Moments.max m);
+      ]
+  in
+  bits "a" a
+    (667, "0x1.450cd55967108p+1", "0x1.a56d117edcc3fp+2",
+     "0x1.45bab023cee1bp-9", "0x1.26e2fbe8376d9p+4");
+  bits "b" b
+    (333, "0x1.355341dd4fe37p+1", "0x1.538a223db459dp+2",
+     "0x1.9348891ed43a6p-5", "0x1.cd8c4c34ba432p+3");
+  bits "merge" (Moments.merge a b)
+    (1000, "0x1.3fd051096ca8bp+1", "0x1.8a01642c1a344p+2",
+     "0x1.45bab023cee1bp-9", "0x1.26e2fbe8376d9p+4")
 
 let test_moments_negative_weight () =
   let m = Moments.create () in
@@ -557,6 +611,7 @@ let () =
           Alcotest.test_case "split order-independent" `Quick
             test_prng_split_order_independent;
           Alcotest.test_case "copy" `Quick test_prng_copy;
+          Alcotest.test_case "recorded outputs" `Quick test_prng_recorded_outputs;
         ] );
       ( "variate",
         [
@@ -577,6 +632,7 @@ let () =
           Alcotest.test_case "weighted" `Quick test_moments_weighted;
           Alcotest.test_case "merge" `Quick test_moments_merge;
           Alcotest.test_case "negative weight" `Quick test_moments_negative_weight;
+          Alcotest.test_case "recorded bits" `Quick test_moments_recorded_bits;
         ] );
       ( "confidence",
         [

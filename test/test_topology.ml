@@ -133,7 +133,14 @@ let test_route_matches_reference () =
           Alcotest.(check (list int)) name expected (Topology.route t ~src ~dst);
           let walked = ref [] in
           Topology.iter_route t ~src ~dst (fun hop -> walked := hop :: !walked);
-          Alcotest.(check (list int)) ("iter " ^ name) expected (List.rev !walked)
+          Alcotest.(check (list int)) ("iter " ^ name) expected (List.rev !walked);
+          let rec hops node =
+            if node = dst then []
+            else
+              let next = Topology.next_hop t ~node ~dst in
+              next :: hops next
+          in
+          Alcotest.(check (list int)) ("next_hop " ^ name) expected (hops src)
         done
       done)
     shapes
